@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .coloring import ClassLabel, chromatic_index
+from .coloring import ClassLabel, chromatic_index, palettes_of
 from .decomposition import (
     SHAPE_A3,
     Decomposition2,
@@ -36,9 +36,6 @@ from .decomposition import (
 from .errors import (
     MalformedInput,
     NonMinimalColoring,
-    NotConnected,
-    NotCubic,
-    NotRegular,
     NotTwoPalettes,
     PaletteKitError,
     ResourceLimit,
@@ -59,7 +56,6 @@ from .solver import (
     PALETTE_INDEX_EDGE_CAP,
     check_lower_bound_theorem,
     palette_index,
-    palettes_of,
     reduce_colors,
 )
 
@@ -107,7 +103,7 @@ def _check_thm_cubic(graph, ctx):
 
 
 def _check_thm_lower(graph, ctx):
-    outcome = check_lower_bound_theorem(graph, max_edges=ctx["max_edges"])
+    outcome = check_lower_bound_theorem(graph, max_edges=ctx["max_edges"], result=ctx["result"])
     if not outcome.applicable:
         return "pass", None
     if outcome.satisfied:
@@ -156,7 +152,7 @@ def _check_cor_regular3(graph, ctx):
     k = ctx["regular"]
     if k is None:
         return "skip", None
-    s3, cert = regular_corollary_check(graph, max_edges=ctx["max_edges"])
+    s3, cert = regular_corollary_check(graph, max_edges=ctx["max_edges"], result=ctx["result"])
     if s3 != (ctx["s_check"] == 3):
         return "fail", {"s_check": ctx["s_check"], "corollary_s3": s3}
     if not s3:
@@ -233,6 +229,8 @@ def _emit(out, text: str) -> None:
 
 
 def cmd_corpus(args, out) -> int:
+    if args.jobs < 1:
+        raise MalformedInput(f"--jobs must be at least 1, got {args.jobs}")
     checks = args.checks.split(",") if args.checks else list(CHECK_NAMES)
     for name in checks:
         if name not in CHECKS:
@@ -311,7 +309,7 @@ def cmd_palette_index(args, out) -> int:
 
 def cmd_chromatic_index(args, out) -> int:
     for _, graph in read_graph_file(args.file):
-        res = chromatic_index(graph, max_edges=max(args.max_edges, PALETTE_INDEX_EDGE_CAP))
+        res = chromatic_index(graph, max_edges=args.max_edges)
         payload = {
             "chi_prime": res.chi_prime,
             "class": 1 if res.label is ClassLabel.CLASS1 else 2,
@@ -494,13 +492,12 @@ def cli_main(argv: list[str] | None = None, out: io.TextIOBase | None = None) ->
     try:
         if args.max_edges is None:
             args.max_edges = _default_cap()
+        if args.max_edges < 0:
+            raise MalformedInput(
+                f"--max-edges and {ENV_MAX_EDGES} must be nonnegative, got {args.max_edges}")
         return args.run(args, out)
     except (MalformedInput, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
-        return 1
-    except (NotRegular, NotCubic, NotConnected, NotTwoPalettes, TooManyPalettes,
-            NonMinimalColoring, ResourceLimit) as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
     except PaletteKitError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -32,7 +32,7 @@ from .multigraph import (
     is_connected,
     is_regular,
 )
-from .solver import PALETTE_INDEX_EDGE_CAP, palette_index
+from .solver import PALETTE_INDEX_EDGE_CAP, PaletteIndexResult, palette_index
 
 SHAPE_A3 = "A3"
 SHAPE_A1A2 = "A1A2"
@@ -339,15 +339,21 @@ def synthesize_coloring_3(graph: MultiGraph, dec: Decomposition3) -> EdgeColorin
 
 
 def regular_corollary_check(
-    graph: MultiGraph, max_edges: int = PALETTE_INDEX_EDGE_CAP
+    graph: MultiGraph,
+    max_edges: int = PALETTE_INDEX_EDGE_CAP,
+    result: PaletteIndexResult | None = None,
 ) -> tuple[bool, RegularDecomposition3 | None]:
     """For a k-regular graph, decide palette index 3 and produce the
     corollary certificate: three equal-degree Class 1 parts plus an optional
-    regular spanning part."""
+    regular spanning part.
+
+    ``result`` is this graph's ``palette_index``; it is computed when omitted.
+    """
     k = is_regular(graph)
     if k is None:
         raise NotRegular("regular_corollary_check requires a regular graph")
-    result = palette_index(graph, max_edges=max_edges)
+    if result is None:
+        result = palette_index(graph, max_edges=max_edges)
     if result.s_check != 3:
         return False, None
     dec = extract_decomposition_3(result.coloring)

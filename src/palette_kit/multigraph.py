@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .errors import LoopRejected, MalformedInput, ResourceLimit
 
 EVEN_SUBGRAPH_DIMENSION_CAP = 25
@@ -217,6 +215,8 @@ def has_perfect_matching(graph: MultiGraph) -> tuple[bool, tuple[int, ...] | Non
         return False, None
     if min(graph.degrees) == 0:
         return False, None
+    import networkx as nx  # deferred: only matchings need it, and it is slow to import
+
     representative: dict[tuple[int, int], int] = {}
     for eid, u, v in graph.edges:
         key = (u, v)

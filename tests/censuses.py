@@ -4,8 +4,8 @@ Graphs are generated up to isomorphism: general graphs by vertex
 augmentation, regular graphs by degree-constrained backtracking over
 BFS-style labelings (vertex 0 adjacent to 1..r, new labels introduced
 consecutively).  Deduplication buckets by cheap invariants and settles ties
-with VF2.  Resulting counts are asserted against published census sizes in
-the test suite.
+with VF2.  No test imports this module, so its counts are not checked
+against the published census sizes anywhere.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeColoring,
@@ -11,6 +13,7 @@ from palette_kit import (
     associated_hypergraph,
     chromatic_index,
     check_lower_bound_theorem,
+    decode_graph6,
     pairwise_intersecting,
     palette_index,
     palette_index_oracle,
@@ -18,6 +21,7 @@ from palette_kit import (
     reduce_colors,
 )
 from palette_kit import families as fam
+from palette_kit.solver import _search
 
 from bruteforce import bf_min_palettes, bf_min_palettes_with_colors
 from conftest import random_proper_coloring, random_simple_graph
@@ -185,3 +189,64 @@ def test_lemma_not2_small_regular():
         fam.petersen_graph(),
     ):
         assert palette_index(g).s_check != 2
+
+
+@st.composite
+def small_multigraphs(draw):
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return MultiGraph.from_pairs(n, draw(st.lists(pair, min_size=1, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs())
+def test_full_budget_search_decides_each_target(g):
+    # palette_index proves each target t with one search at budget t * Delta;
+    # that is sound only if feasibility is monotone in the color budget.
+    delta = max(g.degrees)
+    chi = chromatic_index(g).chi_prime
+    for order in (tuple(sorted(g.edges)), tuple(sorted(g.edges, key=lambda e: e[1:]))):
+        for t in range(1, g.n + 1):
+            full = _search(g, t, t * delta, order) is None
+            every = all(
+                _search(g, t, k, order) is None for k in range(chi, t * delta + 1)
+            )
+            assert full == every
+
+
+PINNED_PALETTE_INDEX = [
+    (fam.petersen_graph(),
+     '{"s_check": 3, "k_min": 4, "colors": [1, 2, 1, 2, 3, 2, 3, 3, 3, 1, 1, 1, 2, 4, 4]}'),
+    (fam.complete_graph(4), '{"s_check": 1, "k_min": 3, "colors": [1, 2, 3, 3, 2, 1]}'),
+    (fam.path_graph(4), '{"s_check": 2, "k_min": 2, "colors": [1, 2, 1]}'),
+    (fam.star(3), '{"s_check": 4, "k_min": 3, "colors": [1, 2, 3]}'),
+    (fam.cycle_graph(5), '{"s_check": 3, "k_min": 3, "colors": [1, 2, 1, 2, 3]}'),
+    (MultiGraph.from_pairs(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3), (0, 2)]),
+     '{"s_check": 2, "k_min": 4, "colors": [1, 2, 3, 1, 2, 3, 4]}'),
+    (decode_graph6("E~@_"), '{"s_check": 5, "k_min": 4, "colors": [1, 2, 3, 3, 2, 4, 4, 1]}'),
+    (decode_graph6("E~~G"),
+     '{"s_check": 4, "k_min": 5, "colors": [1, 2, 3, 4, 5, 3, 4, 5, 2, 5, 1, 2, 3]}'),
+    (decode_graph6("Fh?Dw"), '{"s_check": 6, "k_min": 5, "colors": [1, 2, 2, 1, 3, 4, 1, 5]}'),
+    (decode_graph6("F?~wG"),
+     '{"s_check": 5, "k_min": 6, "colors": [1, 2, 2, 1, 3, 4, 4, 3, 5, 6]}'),
+    (decode_graph6("FjvGG"),
+     '{"s_check": 6, "k_min": 5, "colors": [1, 2, 3, 2, 4, 3, 5, 1, 5, 1, 2]}'),
+    (decode_graph6("FJnVW"),
+     '{"s_check": 4, "k_min": 6, "colors": [1, 2, 3, 1, 4, 3, 2, 5, 4, 6, 6, 1, 5, 4]}'),
+    (decode_graph6("Ffw}w"),
+     '{"s_check": 3, "k_min": 6, "colors": [1, 2, 3, 4, 3, 4, 2, 5, 6, 1, 4, 6, 2, 5, 3]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,expected",
+    PINNED_PALETTE_INDEX,
+    ids=["petersen", "K4", "P4", "K1,3", "C5", "multigraph", "E~@_", "E~~G", "Fh?Dw",
+         "F?~wG", "FjvGG", "FJnVW", "Ffw}w"],
+)
+def test_palette_index_json_is_pinned(graph, expected):
+    # Strings produced by the k-ascent-per-target search that scanned every
+    # k for every t; s_check, k_min and the lex-min witness must not move.
+    assert palette_index(graph).to_json() == expected
