@@ -72,6 +72,7 @@ from .multigraph import (
     induced_edge_subgraph,
     is_connected,
     is_regular,
+    perfect_matchings,
 )
 from .solver import (
     LowerBoundCheck,

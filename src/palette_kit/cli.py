@@ -50,6 +50,7 @@ from .multigraph import (
     induced_edge_subgraph,
     is_connected,
     is_regular,
+    perfect_matchings,
 )
 from .formats import read_graph_file
 from .solver import (
@@ -192,14 +193,13 @@ def _corpus_record(task) -> dict:
         record["checks"] = {name: "capped" for name in checks}
         return record
     try:
-        chi = chromatic_index(graph, max_edges=max(max_edges, graph.m))
         result = palette_index(graph, max_edges=max_edges)
     except ResourceLimit as exc:
         record["error"] = f"resource limit: {exc}"
         record["checks"] = {name: "capped" for name in checks}
         return record
-    record["chi_prime"] = chi.chi_prime
-    record["class"] = 1 if chi.label is ClassLabel.CLASS1 else 2
+    record["chi_prime"] = result.chi_prime
+    record["class"] = 1 if result.chi_prime == dmax else 2
     record["s_check"] = result.s_check
     record["k_min"] = result.k_min
     ctx = {
@@ -371,28 +371,7 @@ def cmd_cubic_classify(args, out) -> int:
 
 
 def _all_perfect_matchings(graph: MultiGraph) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    if graph.n % 2:
-        return out
-    incidence = graph.incidence
-
-    def rec(covered: set[int], acc: list[int]) -> None:
-        if len(covered) == graph.n:
-            out.append(frozenset(acc))
-            return
-        v = min(x for x in range(graph.n) if x not in covered)
-        for eid, w in incidence[v]:
-            if w not in covered:
-                covered.add(v)
-                covered.add(w)
-                acc.append(eid)
-                rec(covered, acc)
-                acc.pop()
-                covered.discard(v)
-                covered.discard(w)
-
-    rec(set(), [])
-    return out
+    return [frozenset(pm) for pm in perfect_matchings(graph)]
 
 
 def cmd_fig4_witness(args, out) -> int:
@@ -421,7 +400,8 @@ def cmd_fig4_witness(args, out) -> int:
         result = palette_index(graph, max_edges=max(args.max_edges, graph.m))
         if result.s_check != 3:
             continue
-        s3, cert = regular_corollary_check(graph, max_edges=max(args.max_edges, graph.m))
+        s3, cert = regular_corollary_check(
+            graph, max_edges=max(args.max_edges, graph.m), result=result)
         synth = synthesize_coloring_3(graph, cert.decomposition)
         payload = {
             "found": True,

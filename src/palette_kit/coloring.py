@@ -1,10 +1,15 @@
-"""Proper edge colorings, exact chromatic index and palette extraction."""
+"""Proper edge colorings, exact chromatic index and palette extraction.
+
+``_search`` is the one backtracking kernel of both exact searches.  The
+chromatic index runs it with t = n palettes, a bound that never prunes:
+n distinct completed palettes means every vertex is complete.
+"""
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ImproperColoring, MalformedInput, ResourceLimit
@@ -105,44 +110,91 @@ def _search_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(graph.edges, key=lambda e: (e[1], e[2], e[0])))
 
 
-def exists_proper_k_coloring(graph: MultiGraph, k: int) -> dict[int, int] | None:
-    """Find a proper coloring with colors from {1..k}, or None.
+def _search(
+    graph: MultiGraph,
+    t: int,
+    k_budget: int,
+    order: tuple[tuple[int, int, int], ...],
+) -> dict[int, int] | None:
+    """Find a proper coloring with <= t distinct palettes and colors from
+    {1..k_budget}, exploring canonical colorings (fresh colors in order).
 
-    Backtracking with color-symmetry breaking: a fresh color may only be
-    introduced if it equals the largest color used so far plus one.
+    Palettes of completed vertices are final, so their distinct count is a
+    lower bound on the final palette count; once it reaches t, every
+    incomplete vertex must extend into one of the completed palettes.
     """
-    if graph.m == 0:
-        return {}
-    if k < 1:
-        return None
-    order = _search_order(graph)
-    masks = [0] * graph.n
-    rem = list(graph.degrees)
+    n = graph.n
+    deg = graph.degrees
+    masks = [0] * n
+    rem = list(deg)
+    completed: dict[int, int] = {}  # palette bitmask -> vertex multiplicity
+    isolated = sum(1 for d in deg if d == 0)
+    if isolated:
+        completed[0] = isolated
+        if t < 1:
+            return None
     m = len(order)
     assignment: dict[int, int] = {}
+
+    def fits_completed(mask: int, degree: int) -> bool:
+        for p in completed:
+            if mask & ~p == 0 and p.bit_count() == degree:
+                return True
+        return False
 
     def rec(i: int, maxused: int) -> bool:
         if i == m:
             return True
         eid, u, v = order[i]
         taken = masks[u] | masks[v]
-        limit = min(maxused + 1, k)
+        limit = min(maxused + 1, k_budget)
         for c in range(1, limit + 1):
             bit = 1 << (c - 1)
             if taken & bit:
                 continue
             mu = masks[u] | bit
             mv = masks[v] | bit
-            if k - mu.bit_count() < rem[u] - 1:
+            if k_budget - mu.bit_count() < rem[u] - 1:
                 continue
-            if k - mv.bit_count() < rem[v] - 1:
+            if k_budget - mv.bit_count() < rem[v] - 1:
                 continue
             masks[u], masks[v] = mu, mv
             rem[u] -= 1
             rem[v] -= 1
             assignment[eid] = c
-            if rec(i + 1, max(maxused, c)):
+            added: list[int] = []
+            before = len(completed)
+            ok = True
+            for x, mx in ((u, mu), (v, mv)):
+                if rem[x] == 0:
+                    cnt = completed.get(mx)
+                    if cnt is None:
+                        if len(completed) == t:
+                            ok = False
+                            break
+                        completed[mx] = 1
+                    else:
+                        completed[mx] = cnt + 1
+                    added.append(mx)
+            if ok and len(completed) == t:
+                if before < t:
+                    # Budget just filled: every open vertex must fit.
+                    for x in range(n):
+                        if rem[x] and not fits_completed(masks[x], deg[x]):
+                            ok = False
+                            break
+                else:
+                    for x in (u, v):
+                        if rem[x] and not fits_completed(masks[x], deg[x]):
+                            ok = False
+                            break
+            if ok and rec(i + 1, max(maxused, c)):
                 return True
+            for mx in added:
+                if completed[mx] == 1:
+                    del completed[mx]
+                else:
+                    completed[mx] -= 1
             del assignment[eid]
             rem[u] += 1
             rem[v] += 1
@@ -166,17 +218,16 @@ def chromatic_index(
     """Exact chromatic index with a proper witness using that many colors.
 
     Searches upward from the maximum degree; Vizing's bound for multigraphs
-    (max degree + max multiplicity) guarantees termination.
+    (max degree + max multiplicity) guarantees termination.  Each k is one
+    ``_search`` with t = n, which never prunes a proper k-coloring.
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
     delta = max(graph.degrees, default=0)
-    if graph.m == 0:
-        witness = EdgeColoring(graph, {})
-        return ChromaticIndexResult(0, witness, ClassLabel.CLASS1)
     upper = delta + graph.max_multiplicity
+    order = _search_order(graph)
     for k in range(delta, upper + 1):
-        assignment = exists_proper_k_coloring(graph, k)
+        assignment = _search(graph, graph.n, k, order)
         if assignment is not None:
             label = ClassLabel.CLASS1 if k == delta else ClassLabel.CLASS2
             return ChromaticIndexResult(k, EdgeColoring(graph, assignment), label)
@@ -190,6 +241,4 @@ def is_class1_regular(
     r = is_regular(graph)
     if r is None:
         return False
-    if graph.m == 0:
-        return True
     return chromatic_index(graph, max_edges=max_edges).chi_prime == r

@@ -9,6 +9,7 @@ of its local vertices corresponds to.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,35 +203,54 @@ def is_connected(graph: MultiGraph) -> bool:
     return len(connected_components(graph)) <= 1
 
 
+def perfect_matchings(graph: MultiGraph) -> Iterator[tuple[int, ...]]:
+    """Yield every perfect matching once, as a sorted tuple of edge ids.
+
+    The search always matches the lowest uncovered vertex, through its
+    incident edges in incidence order, so parallel edges give distinct
+    matchings.  A covered vertex set that led to no matching is remembered
+    and never expanded again.  Exact and exponential in the worst case:
+    the package passes cubic and 4-regular graphs on at most 16 vertices,
+    but K15,17, dense and without a perfect matching, takes most of a
+    second, where a blossom algorithm would be polynomial.
+    """
+    if graph.n % 2 or 0 in graph.degrees:
+        return
+    full = (1 << graph.n) - 1
+    incidence = graph.incidence
+    dead: set[int] = set()
+    acc: list[int] = []
+
+    def rec(covered: int) -> Iterator[tuple[int, ...]]:
+        if covered == full:
+            yield tuple(sorted(acc))
+            return
+        v = (~covered & (covered + 1)).bit_length() - 1
+        found = False
+        for eid, w in incidence[v]:
+            after = covered | 1 << v | 1 << w
+            if covered >> w & 1 or after in dead:
+                continue
+            acc.append(eid)
+            for matching in rec(after):
+                found = True
+                yield matching
+            acc.pop()
+        if not found:
+            dead.add(covered)
+
+    yield from rec(0)
+
+
 def has_perfect_matching(graph: MultiGraph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether a perfect matching exists; return a verified witness.
 
-    The witness is a tuple of edge ids, pairwise vertex-disjoint and covering
-    every vertex.  Parallel edges are interchangeable for matchings, so one
-    representative id per vertex pair is considered.
+    The witness is the first of ``perfect_matchings``: edge ids, pairwise
+    vertex-disjoint and covering every vertex.
     """
-    if graph.n == 0:
-        return True, ()
-    if graph.n % 2 == 1:
+    witness = next(perfect_matchings(graph), None)
+    if witness is None:
         return False, None
-    if min(graph.degrees) == 0:
-        return False, None
-    import networkx as nx  # deferred: only matchings need it, and it is slow to import
-
-    representative: dict[tuple[int, int], int] = {}
-    for eid, u, v in graph.edges:
-        key = (u, v)
-        if key not in representative or eid < representative[key]:
-            representative[key] = eid
-    simple = nx.Graph()
-    simple.add_nodes_from(range(graph.n))
-    simple.add_edges_from(representative)
-    matching = nx.max_weight_matching(simple, maxcardinality=True)
-    if 2 * len(matching) != graph.n:
-        return False, None
-    witness = tuple(
-        sorted(representative[(u, v) if u < v else (v, u)] for u, v in matching)
-    )
     _check_matching_witness(graph, witness)
     return True, witness
 

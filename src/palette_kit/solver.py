@@ -11,6 +11,9 @@ the full budget t * Delta decides each target t.  Only at the winning t is
 the number of colors then minimized, which is exactly the minimality notion
 for witnesses.  Both arguments are elementary; no result of the paper is
 used to prune the search, so the corpus checks built on it are not circular.
+The kernel ``_search`` lives in ``coloring``, whose ``chromatic_index`` runs
+it with t = n: n distinct completed palettes means every vertex is complete,
+so that bound never prunes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, chromatic_index
+from .coloring import EdgeColoring, _search, _search_order, chromatic_index
 from .errors import ResourceLimit
 from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
 
@@ -32,6 +35,7 @@ class PaletteIndexResult:
     s_check: int
     coloring: EdgeColoring
     k_min: int
+    chi_prime: int
 
     def to_json(self) -> str:
         ids = sorted(self.coloring.graph.edge_ids)
@@ -42,101 +46,6 @@ class PaletteIndexResult:
                 "colors": [self.coloring.colors[i] for i in ids],
             }
         )
-
-
-def _search(
-    graph: MultiGraph,
-    t: int,
-    k_budget: int,
-    order: tuple[tuple[int, int, int], ...],
-) -> dict[int, int] | None:
-    """Find a proper coloring with <= t distinct palettes and colors from
-    {1..k_budget}, exploring canonical colorings (fresh colors in order).
-
-    Palettes of completed vertices are final, so their distinct count is a
-    lower bound on the final palette count; once it reaches t, every
-    incomplete vertex must extend into one of the completed palettes.
-    """
-    n = graph.n
-    deg = graph.degrees
-    masks = [0] * n
-    rem = list(deg)
-    completed: dict[int, int] = {}  # palette bitmask -> vertex multiplicity
-    isolated = sum(1 for d in deg if d == 0)
-    if isolated:
-        completed[0] = isolated
-        if t < 1:
-            return None
-    m = len(order)
-    assignment: dict[int, int] = {}
-
-    def fits_completed(mask: int, degree: int) -> bool:
-        for p in completed:
-            if mask & ~p == 0 and p.bit_count() == degree:
-                return True
-        return False
-
-    def rec(i: int, maxused: int) -> bool:
-        if i == m:
-            return True
-        eid, u, v = order[i]
-        taken = masks[u] | masks[v]
-        limit = min(maxused + 1, k_budget)
-        for c in range(1, limit + 1):
-            bit = 1 << (c - 1)
-            if taken & bit:
-                continue
-            mu = masks[u] | bit
-            mv = masks[v] | bit
-            if k_budget - mu.bit_count() < rem[u] - 1:
-                continue
-            if k_budget - mv.bit_count() < rem[v] - 1:
-                continue
-            masks[u], masks[v] = mu, mv
-            rem[u] -= 1
-            rem[v] -= 1
-            assignment[eid] = c
-            added: list[int] = []
-            before = len(completed)
-            ok = True
-            for x, mx in ((u, mu), (v, mv)):
-                if rem[x] == 0:
-                    cnt = completed.get(mx)
-                    if cnt is None:
-                        if len(completed) == t:
-                            ok = False
-                            break
-                        completed[mx] = 1
-                    else:
-                        completed[mx] = cnt + 1
-                    added.append(mx)
-            if ok and len(completed) == t:
-                if before < t:
-                    # Budget just filled: every open vertex must fit.
-                    for x in range(n):
-                        if rem[x] and not fits_completed(masks[x], deg[x]):
-                            ok = False
-                            break
-                else:
-                    for x in (u, v):
-                        if rem[x] and not fits_completed(masks[x], deg[x]):
-                            ok = False
-                            break
-            if ok and rec(i + 1, max(maxused, c)):
-                return True
-            for mx in added:
-                if completed[mx] == 1:
-                    del completed[mx]
-                else:
-                    completed[mx] -= 1
-            del assignment[eid]
-            rem[u] += 1
-            rem[v] += 1
-            masks[u] &= ~bit
-            masks[v] &= ~bit
-        return False
-
-    return dict(assignment) if rec(0, 0) else None
 
 
 def palette_index(
@@ -154,10 +63,10 @@ def palette_index(
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
     if graph.m == 0:
-        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0)
+        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
     delta = max(graph.degrees)
     chi = chromatic_index(graph, max_edges=max_edges).chi_prime
-    fast_order = tuple(sorted(graph.edges, key=lambda e: (e[1], e[2], e[0])))
+    fast_order = _search_order(graph)
     # Palettes of vertices with different degrees are distinct, so the
     # number of distinct degrees is a sound starting target.
     t_floor = len(set(graph.degrees))
@@ -170,7 +79,7 @@ def palette_index(
             k += 1
         witness = _search(graph, t, k, tuple(sorted(graph.edges)))
         assert witness is not None
-        return PaletteIndexResult(t, EdgeColoring(graph, witness), k)
+        return PaletteIndexResult(t, EdgeColoring(graph, witness), k, chi)
     raise AssertionError("no palette count up to n was feasible")
 
 

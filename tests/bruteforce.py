@@ -84,23 +84,20 @@ def bf_chromatic_index(graph: MultiGraph) -> int:
     return k
 
 
-def bf_has_perfect_matching(graph: MultiGraph) -> bool:
-    """Check every edge subset of size n/2; m <= 12."""
+def bf_perfect_matchings(graph: MultiGraph) -> list[frozenset[int]]:
+    """Every edge-id set of size n/2 that is pairwise vertex-disjoint; m <= 12."""
     if graph.n % 2:
-        return False
-    want = graph.n // 2
-    for subset in combinations(graph.edges, want):
-        covered: set[int] = set()
-        ok = True
-        for _, u, v in subset:
-            if u in covered or v in covered:
-                ok = False
-                break
-            covered.add(u)
-            covered.add(v)
-        if ok and len(covered) == graph.n:
-            return True
-    return False
+        return []
+    out = []
+    for subset in combinations(graph.edges, graph.n // 2):
+        ends = [x for _, u, v in subset for x in (u, v)]
+        if len(set(ends)) == graph.n:
+            out.append(frozenset(eid for eid, _, _ in subset))
+    return out
+
+
+def bf_has_perfect_matching(graph: MultiGraph) -> bool:
+    return bool(bf_perfect_matchings(graph))
 
 
 def bf_has_spanning_even_subgraph(graph: MultiGraph) -> bool:

@@ -1,11 +1,9 @@
-"""Small-graph censuses for the verification corpus.
+"""Connected regular graphs up to isomorphism, for the benchmark fixtures.
 
-Graphs are generated up to isomorphism: general graphs by vertex
-augmentation, regular graphs by degree-constrained backtracking over
-BFS-style labelings (vertex 0 adjacent to 1..r, new labels introduced
-consecutively).  Deduplication buckets by cheap invariants and settles ties
-with VF2.  No test imports this module, so its counts are not checked
-against the published census sizes anywhere.
+Graphs are generated by degree-constrained backtracking over BFS-style
+labelings (vertex 0 adjacent to 1..r, new labels introduced consecutively).
+Deduplication buckets by cheap invariants and settles ties with VF2.
+``test_censuses.py`` checks the counts against the published census sizes.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
-
-from palette_kit import MultiGraph
 
 
 def _iso_key(g: nx.Graph):
@@ -48,27 +44,6 @@ class _IsoStore:
         bucket.append(g)
         self.graphs.append(g)
         return True
-
-
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[nx.Graph, ...]:
-    """Every graph on n vertices, one per isomorphism class."""
-    if n == 0:
-        return (nx.empty_graph(0),)
-    store = _IsoStore()
-    for parent in all_graphs(n - 1):
-        for size in range(n):
-            for neighbors in combinations(range(n - 1), size):
-                g = parent.copy()
-                g.add_node(n - 1)
-                g.add_edges_from((n - 1, w) for w in neighbors)
-                store.add(g)
-    return tuple(store.graphs)
-
-
-@lru_cache(maxsize=None)
-def connected_graphs(n: int) -> tuple[nx.Graph, ...]:
-    return tuple(g for g in all_graphs(n) if n > 0 and nx.is_connected(g))
 
 
 @lru_cache(maxsize=None)
@@ -119,31 +94,3 @@ def regular_connected(n: int, r: int) -> tuple[nx.Graph, ...]:
 
     place(0, 1)
     return tuple(store.graphs)
-
-
-@lru_cache(maxsize=None)
-def regular_graphs(n: int, r: int) -> tuple[nx.Graph, ...]:
-    """All r-regular graphs on n vertices up to isomorphism, including
-    disconnected ones (disjoint unions of connected r-regular graphs)."""
-    store = _IsoStore()
-
-    def extend(base: nx.Graph, remaining: int, min_size: int) -> None:
-        if remaining == 0:
-            store.add(base)
-            return
-        for size in range(min_size, remaining + 1):
-            for comp in regular_connected(size, r):
-                g = nx.disjoint_union(base, comp)
-                extend(g, remaining - size, size)
-
-    extend(nx.empty_graph(0), n, 1)
-    return tuple(store.graphs)
-
-
-def to_multigraph(g: nx.Graph) -> MultiGraph:
-    nodes = sorted(g.nodes())
-    index = {v: i for i, v in enumerate(nodes)}
-    pairs = sorted(
-        (min(index[u], index[v]), max(index[u], index[v])) for u, v in g.edges()
-    )
-    return MultiGraph.from_pairs(len(nodes), pairs)

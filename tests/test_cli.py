@@ -25,6 +25,13 @@ MIXED = [
 ]
 
 
+# K5 and the six connected 4-regular graphs on 8 vertices.
+QUARTIC = [
+    encode_graph6(fam.complete_graph(5)),
+    "Gtlai[", "Gthqq[", "Gthayw", "Gs`zro", "G|dIXk", "G|daW{",
+]
+
+
 def run_cli(argv) -> tuple[int, str]:
     out = io.StringIO()
     code = cli.cli_main(argv, out)
@@ -35,6 +42,13 @@ def run_cli(argv) -> tuple[int, str]:
 def mixed_file(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("\n".join(MIXED) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def quartic_file(tmp_path):
+    path = tmp_path / "quartic.g6"
+    path.write_text("\n".join(QUARTIC) + "\n")
     return str(path)
 
 
@@ -68,22 +82,35 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
     assert applies[check]()
 
 
-def test_cli_import_leaves_networkx_unloaded():
+def test_cli_import_leaves_networkx_unloaded(mixed_file, quartic_file):
+    # Importing the CLI loads no networkx, and with networkx made unimportable
+    # corpus (Petersen reaches has_perfect_matching through classify_cubic)
+    # and fig4-witness still succeed.
     script = (
         "import sys, json\n"
         "import palette_kit.cli\n"
         "assert 'networkx' not in sys.modules, 'networkx imported by palette_kit.cli'\n"
+        "sys.modules['networkx'] = None\n"
         "from palette_kit import families\n"
         "from palette_kit.multigraph import has_perfect_matching\n"
         "print(json.dumps(has_perfect_matching(families.complete_graph(4))))\n"
+        "assert palette_kit.cli.cli_main(['corpus', sys.argv[1]], sys.stderr) == 0\n"
+        "assert palette_kit.cli.cli_main(['fig4-witness', sys.argv[2]], sys.stderr) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, mixed_file, quartic_file],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     found, witness = json.loads(proc.stdout)
     assert found and len(witness) == 2
+
+
+def test_fig4_witness_reports_no_witness(quartic_file):
+    code, out = run_cli(["fig4-witness", quartic_file])
+    assert code == 0
+    assert out == '{"found": false, "searched": 7, "vertex_counts": [5, 8]}\n'
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

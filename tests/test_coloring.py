@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from palette_kit import (
@@ -12,9 +14,12 @@ from palette_kit import (
     chromatic_index,
     induced_edge_subgraph,
     is_class1_regular,
+    palette_index,
     palettes_of,
 )
+from palette_kit import cli
 from palette_kit import families as fam
+from palette_kit.formats import encode_edge_list_json
 
 from bruteforce import bf_chromatic_index
 from conftest import random_multigraph, random_proper_coloring, random_simple_graph
@@ -181,3 +186,33 @@ def test_induced_regular_class1_equivalence(rng):
         seen_true += lhs
         seen_false += not lhs
     assert seen_true and seen_false
+
+
+PINNED_CHROMATIC_INDEX = [
+    (fam.petersen_graph(),
+     '{"chi_prime": 4, "class": 2, "colors": [1, 2, 1, 3, 2, 3, 3, 3, 2, 1, 1, 1, 4, 4, 2]}'),
+    (fam.complete_graph(4), '{"chi_prime": 3, "class": 1, "colors": [1, 2, 3, 3, 2, 1]}'),
+    (fam.cycle_graph(5), '{"chi_prime": 3, "class": 2, "colors": [1, 2, 1, 3, 2]}'),
+    (fam.complete_bipartite(3, 3),
+     '{"chi_prime": 3, "class": 1, "colors": [1, 2, 3, 2, 3, 1, 3, 1, 2]}'),
+    (fam.star(3), '{"chi_prime": 3, "class": 1, "colors": [1, 2, 3]}'),
+    (MultiGraph.from_pairs(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3), (0, 2)]),
+     '{"chi_prime": 4, "class": 1, "colors": [1, 2, 4, 1, 2, 4, 3]}'),
+]
+PINNED_IDS = ["petersen", "K4", "C5", "K3,3", "K1,3", "multigraph"]
+
+
+@pytest.mark.parametrize("graph,expected", PINNED_CHROMATIC_INDEX, ids=PINNED_IDS)
+def test_chromatic_index_json_is_pinned(tmp_path, graph, expected):
+    # Strings produced by the dedicated k-coloring search that preceded the
+    # shared kernel; chi' and the witness must not move.
+    path = tmp_path / "g.json"
+    path.write_text(encode_edge_list_json(graph))
+    out = io.StringIO()
+    assert cli.cli_main(["chromatic-index", str(path)], out) == 0
+    assert out.getvalue() == expected + "\n"
+
+
+@pytest.mark.parametrize("graph", [g for g, _ in PINNED_CHROMATIC_INDEX], ids=PINNED_IDS)
+def test_palette_index_reports_the_chromatic_index(graph):
+    assert palette_index(graph).chi_prime == chromatic_index(graph).chi_prime

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeSubset,
@@ -14,10 +16,11 @@ from palette_kit import (
     has_spanning_even_subgraph_no_isolated,
     induced_edge_subgraph,
     is_regular,
+    perfect_matchings,
 )
 from palette_kit import families as fam
 
-from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph
+from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph, bf_perfect_matchings
 from conftest import random_multigraph, random_simple_graph
 
 
@@ -121,6 +124,34 @@ def test_perfect_matching_against_bruteforce(rng):
         if g.m > 12:
             continue
         assert has_perfect_matching(g)[0] == bf_has_perfect_matching(g)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [fam.no_perfect_matching_cubic(), fam.complete_bipartite(9, 11)],
+    ids=["cubic-16", "K9,11"],
+)
+def test_no_perfect_matching(graph):
+    assert has_perfect_matching(graph) == (False, None)
+
+
+@st.composite
+def small_multigraphs(draw):
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return MultiGraph.from_pairs(n, draw(st.lists(pair, max_size=10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs())
+def test_perfect_matchings_against_bruteforce(g):
+    # Parallel edges are distinct edge ids, so they give distinct matchings.
+    found = [frozenset(pm) for pm in perfect_matchings(g)]
+    assert len(found) == len(set(found))
+    assert set(found) == set(bf_perfect_matchings(g))
+    assert has_perfect_matching(g)[0] == bool(found)
 
 
 def test_even_subgraph_examples():
