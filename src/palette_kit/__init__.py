@@ -15,6 +15,8 @@ from .decomposition import (
     Decomposition2,
     Decomposition3,
     RegularDecomposition3,
+    build_coloring_2,
+    build_coloring_3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,
@@ -51,16 +53,7 @@ from .formats import (
     parse_graph,
     read_graph_file,
 )
-from .hypergraphs import (
-    HColoring,
-    Hypergraph,
-    associated_hypergraph,
-    canonical_h_coloring,
-    hypergraph_order_bounds,
-    induced_coloring,
-    pairwise_intersecting,
-    verify_h_coloring,
-)
+from .hypergraphs import Hypergraph, associated_hypergraph, pairwise_intersecting
 from .multigraph import (
     EdgeSubset,
     MultiGraph,

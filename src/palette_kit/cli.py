@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .coloring import ClassLabel, chromatic_index, palettes_of
 from .decomposition import (
-    SHAPE_A3,
-    Decomposition2,
     Decomposition3,
+    build_coloring_2,
+    build_coloring_3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,
@@ -28,12 +28,11 @@ from .decomposition import (
     extract_decomposition_2,
     extract_decomposition_3,
     regular_corollary_check,
-    synthesize_coloring_2,
-    synthesize_coloring_3,
     verify_decomposition_2,
     verify_decomposition_3,
 )
 from .errors import (
+    InvalidCertificate,
     MalformedInput,
     NonMinimalColoring,
     NotTwoPalettes,
@@ -41,7 +40,7 @@ from .errors import (
     ResourceLimit,
     TooManyPalettes,
 )
-from .hypergraphs import associated_hypergraph, pairwise_intersecting
+from .hypergraphs import associated_hypergraph
 from .multigraph import (
     EdgeSubset,
     MultiGraph,
@@ -57,7 +56,6 @@ from .solver import (
     PALETTE_INDEX_EDGE_CAP,
     check_lower_bound_theorem,
     palette_index,
-    reduce_colors,
 )
 
 ENV_MAX_EDGES = "PALETTE_KIT_MAX_EDGES"
@@ -119,9 +117,8 @@ def _check_thm_s2(graph, ctx):
         report = verify_decomposition_2(graph, dec)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition2_to_json(dec)}
-        synth = synthesize_coloring_2(graph, dec)
-        if len(palettes_of(synth)) != 2:
-            return "fail", {"certificate": decomposition2_to_json(dec)}
+        # The builder asserts that the synthesized coloring has two palettes.
+        build_coloring_2(graph, dec, report)
         return "pass", None
     try:
         extract_decomposition_2(coloring)
@@ -137,10 +134,8 @@ def _check_thm_s3(graph, ctx):
         report = verify_decomposition_3(graph, dec)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
-        synth = synthesize_coloring_3(graph, dec)
-        system = palettes_of(synth)
-        if len(system) > 3:
-            return "fail", {"certificate": decomposition3_to_json(dec)}
+        # The builder asserts at most three palettes, one per A-set.
+        build_coloring_3(graph, dec, report)
         return "pass", None
     try:
         extract_decomposition_3(coloring)
@@ -153,12 +148,17 @@ def _check_cor_regular3(graph, ctx):
     k = ctx["regular"]
     if k is None:
         return "skip", None
-    s3, cert = regular_corollary_check(graph, max_edges=ctx["max_edges"], result=ctx["result"])
+    try:
+        s3, cert = regular_corollary_check(graph, max_edges=ctx["max_edges"], result=ctx["result"])
+    except InvalidCertificate as exc:
+        # Extraction only reads the coloring, so this is the rejected certificate.
+        dec = extract_decomposition_3(ctx["result"].coloring)
+        return "fail", {"clauses": exc.failures, "certificate": decomposition3_to_json(dec)}
     if s3 != (ctx["s_check"] == 3):
         return "fail", {"s_check": ctx["s_check"], "corollary_s3": s3}
     if not s3:
         return "pass", None
-    synth = synthesize_coloring_3(graph, cert.decomposition)
+    synth = build_coloring_3(graph, cert.decomposition, cert.report)
     if len(palettes_of(synth)) != 3:
         return "fail", {"certificate": decomposition3_to_json(cert.decomposition)}
     return "pass", None
@@ -322,11 +322,14 @@ def cmd_chromatic_index(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     graph = _load_single(args.file)
     result = palette_index(graph, max_edges=args.max_edges)
+    # Extraction does not check its result; never print a failing certificate.
     if args.target == 2:
         dec = extract_decomposition_2(result.coloring)
+        verify_decomposition_2(graph, dec).require_ok()
         _emit(out, decomposition2_to_json(dec))
     else:
         dec = extract_decomposition_3(result.coloring)
+        verify_decomposition_3(graph, dec).require_ok()
         _emit(out, decomposition3_to_json(dec))
     return 0
 
@@ -402,7 +405,7 @@ def cmd_fig4_witness(args, out) -> int:
             continue
         s3, cert = regular_corollary_check(
             graph, max_edges=max(args.max_edges, graph.m), result=result)
-        synth = synthesize_coloring_3(graph, cert.decomposition)
+        synth = build_coloring_3(graph, cert.decomposition, cert.report)
         payload = {
             "found": True,
             "index": index,

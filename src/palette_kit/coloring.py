@@ -236,9 +236,11 @@ def chromatic_index(
 
 def is_class1_regular(
     graph: MultiGraph, max_edges: int = CHROMATIC_INDEX_EDGE_CAP
-) -> bool:
-    """True iff the graph is r-regular and admits an r-edge-coloring."""
+) -> EdgeColoring | None:
+    """The r-edge-coloring found by ``chromatic_index`` when the graph is
+    r-regular and Class 1, else None."""
     r = is_regular(graph)
     if r is None:
-        return False
-    return chromatic_index(graph, max_edges=max_edges).chi_prime == r
+        return None
+    result = chromatic_index(graph, max_edges=max_edges)
+    return result.witness if result.chi_prime == r else None

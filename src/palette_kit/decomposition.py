@@ -5,6 +5,13 @@ A two-palette minimal coloring has nested palettes; the smaller one spans a
 regular Class 1 subgraph and the leftover colors span another.  With at most
 three palettes the color set splits into Venn regions of the palettes, and
 the subgraphs induced by those regions form the certificate.
+
+Extraction only reads a coloring; it does not check what it returns.  Each
+caller verifies a certificate once, and verification runs χ′ once on every
+part.  The report it returns carries each Class 1 part's edge-coloring, and
+``build_coloring_2``/``build_coloring_3`` synthesize from those witnesses
+without another search.  ``synthesize_coloring_2``/``synthesize_coloring_3``
+verify and build in one call.
 """
 
 from __future__ import annotations
@@ -59,23 +66,37 @@ class Decomposition3:
 
 
 @dataclass(frozen=True)
+class ClauseReport:
+    """The clauses checked on a certificate.  ``witnesses`` maps each part
+    name that passed its Class 1 clause to the r-edge-coloring proving it."""
+
+    ok: bool
+    clauses: tuple[tuple[str, bool, str], ...]
+    witnesses: dict[str, EdgeColoring]
+
+    def failures(self) -> tuple[tuple[str, str], ...]:
+        return tuple((name, detail) for name, passed, detail in self.clauses if not passed)
+
+    def require_ok(self) -> ClauseReport:
+        """Return the report, or raise InvalidCertificate naming every failed
+        clause."""
+        if not self.ok:
+            failures = self.failures()
+            raise InvalidCertificate(*failures[0], failures=failures)
+        return self
+
+
+@dataclass(frozen=True)
 class RegularDecomposition3:
     """Corollary-shaped certificate for a k-regular graph: an optional
-    r-regular spanning part plus three (k-r)/2-regular Class 1 parts."""
+    r-regular spanning part plus three (k-r)/2-regular Class 1 parts, with
+    the passing report of its verification."""
 
     r: int
     spanning_part: EdgeSubset | None
     parts: tuple[EdgeSubset, EdgeSubset, EdgeSubset]
     decomposition: Decomposition3
-
-
-@dataclass(frozen=True)
-class ClauseReport:
-    ok: bool
-    clauses: tuple[tuple[str, bool, str], ...]
-
-    def failures(self) -> tuple[tuple[str, str], ...]:
-        return tuple((name, detail) for name, passed, detail in self.clauses if not passed)
+    report: ClauseReport
 
 
 def _edge_partition_clauses(
@@ -96,11 +117,22 @@ def _edge_partition_clauses(
     return clauses
 
 
+def _class1_clause(
+    name: str, view: MultiGraph, witnesses: dict[str, EdgeColoring]
+) -> tuple[str, bool, str]:
+    witness = is_class1_regular(view)
+    if witness is not None:
+        witnesses[name] = witness
+    return (f"{name.lower()}-class1", witness is not None, f"{name} is Class 1")
+
+
 def verify_decomposition_2(graph: MultiGraph, dec: Decomposition2) -> ClauseReport:
+    """Check a two-part certificate, running χ′ once on each present part."""
     deg = graph.degrees
     delta_max = max(deg, default=0)
     delta_min = min(deg, default=0)
     clauses: list[tuple[str, bool, str]] = []
+    witnesses: dict[str, EdgeColoring] = {}
     clauses.append(("delta-gap", delta_max > delta_min, "max degree exceeds min degree"))
     parts = tuple(
         (name, s) for name, s in (("H0", dec.h0), ("H1", dec.h1)) if s is not None
@@ -114,19 +146,22 @@ def verify_decomposition_2(graph: MultiGraph, dec: Decomposition2) -> ClauseRepo
         clauses.append(
             ("h0-regular", is_regular(view) == delta_min, f"H0 is {delta_min}-regular")
         )
-        clauses.append(("h0-class1", is_class1_regular(view), "H0 is Class 1"))
+        clauses.append(_class1_clause("H0", view, witnesses))
     if dec.h1 is not None and len(dec.h1) > 0:
         view = induced_edge_subgraph(graph, dec.h1)
         want = delta_max - delta_min
         clauses.append(
             ("h1-regular", is_regular(view) == want, f"H1 is {want}-regular")
         )
-        clauses.append(("h1-class1", is_class1_regular(view), "H1 is Class 1"))
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses))
+        clauses.append(_class1_clause("H1", view, witnesses))
+    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
 
 
 def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseReport:
+    """Check a certificate of at most four parts, running χ′ once on each
+    present part."""
     clauses: list[tuple[str, bool, str]] = []
+    witnesses: dict[str, EdgeColoring] = {}
     all_vertices = frozenset(range(graph.n))
     parts = dec.parts()
     clauses.append(
@@ -159,7 +194,7 @@ def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseRepo
         clauses.append(
             (f"{key}-regular", is_regular(view) is not None, f"{name} is regular")
         )
-        clauses.append((f"{key}-class1", is_class1_regular(view), f"{name} is Class 1"))
+        clauses.append(_class1_clause(name, view, witnesses))
     if "H0" in views:
         spanning = set(views["H0"].vertex_labels or ()) == set(range(graph.n))
         clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
@@ -177,7 +212,7 @@ def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseRepo
             clauses.append(
                 ("h3-vertices", got == want, "V(H3) matches the shape flag")
             )
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses))
+    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
 
 
 def _edges_with_colors(coloring: EdgeColoring, colors: frozenset[int]) -> EdgeSubset:
@@ -192,9 +227,9 @@ def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
 
     Requires exactly two distinct palettes, nested (equivalently: the
     associated hypergraph is pairwise intersecting); otherwise the coloring
-    is not minimal and reduce_colors should be applied first.
+    is not minimal and reduce_colors should be applied first.  The result is
+    not verified; callers run ``verify_decomposition_2``.
     """
-    graph = coloring.graph
     system = palettes_of(coloring)
     if len(system) != 2:
         raise NotTwoPalettes(f"coloring induces {len(system)} palettes, need 2")
@@ -206,30 +241,28 @@ def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
         )
     h0 = _edges_with_colors(coloring, small) if small else None
     h1 = _edges_with_colors(coloring, big - small)
-    dec = Decomposition2(h0, h1)
-    report = verify_decomposition_2(graph, dec)
-    if not report.ok:
-        raise AssertionError(f"extraction broke invariants: {report.failures()}")
-    return dec
+    return Decomposition2(h0, h1)
 
 
 def synthesize_coloring_2(graph: MultiGraph, dec: Decomposition2) -> EdgeColoring:
+    """Verify ``dec`` once, raising InvalidCertificate when a clause fails,
+    and build its two-palette coloring."""
+    return build_coloring_2(graph, dec, verify_decomposition_2(graph, dec))
+
+
+def build_coloring_2(
+    graph: MultiGraph, dec: Decomposition2, report: ClauseReport
+) -> EdgeColoring:
     """Color H0 with 1..delta_min and H1 with the next delta_max - delta_min
-    colors; the result has exactly two palettes."""
-    report = verify_decomposition_2(graph, dec)
-    if not report.ok:
-        name, detail = report.failures()[0]
-        raise InvalidCertificate(name, detail)
+    colors, taking each part's coloring from ``report``, the verification of
+    ``dec``; the result has exactly two palettes."""
+    witnesses = report.require_ok().witnesses
     delta_min = min(graph.degrees, default=0)
     mapping: dict[int, int] = {}
     if dec.h0 is not None:
-        view = induced_edge_subgraph(graph, dec.h0)
-        witness = chromatic_index(view).witness
-        mapping.update(witness.colors)
+        mapping.update(witnesses["H0"].colors)
     if dec.h1 is not None:
-        view = induced_edge_subgraph(graph, dec.h1)
-        witness = chromatic_index(view).witness
-        mapping.update({eid: c + delta_min for eid, c in witness.colors.items()})
+        mapping.update({eid: c + delta_min for eid, c in witnesses["H1"].colors.items()})
     coloring = EdgeColoring(graph, mapping)
     if len(palettes_of(coloring)) != 2:
         raise AssertionError("synthesized coloring does not have two palettes")
@@ -250,7 +283,8 @@ def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
     The A-sets are the vertex classes of the palettes.  With three palettes
     the color regions of the palette Venn diagram must be compatible with
     minimality: at most one private region is nonempty, and a private region
-    excludes the complementary pairwise region.
+    excludes the complementary pairwise region.  The result is not verified;
+    callers run ``verify_decomposition_3``.
     """
     graph = coloring.graph
     system = palettes_of(coloring)
@@ -307,27 +341,28 @@ def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
         h2 = _edges_with_colors(coloring, pairwise[1]) if pairwise[1] else None
         partition = VertexPartition(tuple(classes))
         dec = Decomposition3(h0, h1, h2, h3, partition, shape)
-
-    report = verify_decomposition_3(graph, dec)
-    if not report.ok:
-        raise AssertionError(f"extraction broke invariants: {report.failures()}")
     return dec
 
 
 def synthesize_coloring_3(graph: MultiGraph, dec: Decomposition3) -> EdgeColoring:
+    """Verify ``dec`` once, raising InvalidCertificate when a clause fails,
+    and build its coloring with at most three palettes."""
+    return build_coloring_3(graph, dec, verify_decomposition_3(graph, dec))
+
+
+def build_coloring_3(
+    graph: MultiGraph, dec: Decomposition3, report: ClauseReport
+) -> EdgeColoring:
     """Color each present part in exactly its degree on a disjoint color
-    interval; vertices in the same A-set end with equal palettes."""
-    report = verify_decomposition_3(graph, dec)
-    if not report.ok:
-        name, detail = report.failures()[0]
-        raise InvalidCertificate(name, detail)
+    interval, taking each part's coloring from ``report``, the verification
+    of ``dec``; vertices in the same A-set end with equal palettes."""
+    witnesses = report.require_ok().witnesses
     mapping: dict[int, int] = {}
     offset = 0
-    for _, subset in dec.parts():
-        view = induced_edge_subgraph(graph, subset)
-        witness = chromatic_index(view).witness
+    for name, _ in dec.parts():
+        witness = witnesses[name]
         mapping.update({eid: c + offset for eid, c in witness.colors.items()})
-        offset += is_regular(view)
+        offset += is_regular(witness.graph)
     coloring = EdgeColoring(graph, mapping)
     system = palettes_of(coloring)
     if len(system) > 3:
@@ -363,31 +398,26 @@ def regular_corollary_check(
 def regular_certificate_from_decomposition(
     graph: MultiGraph, k: int, dec: Decomposition3
 ) -> RegularDecomposition3:
-    report = verify_decomposition_3(graph, dec)
-    if not report.ok:
-        name, detail = report.failures()[0]
-        raise InvalidCertificate(name, detail)
+    """Verify ``dec`` once and check the corollary's shape; raise
+    InvalidCertificate when either fails."""
+    report = verify_decomposition_3(graph, dec).require_ok()
     if dec.shape == SHAPE_A3:
         raise InvalidCertificate(
             "shape-a1a2", "V(H3)=A3 cannot occur for a regular graph"
         )
     if dec.h1 is None or dec.h2 is None or dec.h3 is None:
         raise InvalidCertificate("three-parts", "H1, H2, H3 must all be present")
-    if dec.h0 is not None:
-        r = is_regular(induced_edge_subgraph(graph, dec.h0))
-        assert r is not None
-    else:
-        r = 0
+    degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
+    r = degree.get("H0", 0)
     if not 0 <= r < k or (k - r) % 2 != 0:
         raise InvalidCertificate("degree-parity", f"k - r = {k - r} must be even and positive")
     want = (k - r) // 2
-    for name, subset in (("H1", dec.h1), ("H2", dec.h2), ("H3", dec.h3)):
-        got = is_regular(induced_edge_subgraph(graph, subset))
-        if got != want:
+    for name in ("H1", "H2", "H3"):
+        if degree[name] != want:
             raise InvalidCertificate(
-                "equal-degrees", f"{name} is {got}-regular, expected {want}"
+                "equal-degrees", f"{name} is {degree[name]}-regular, expected {want}"
             )
-    return RegularDecomposition3(r, dec.h0, (dec.h1, dec.h2, dec.h3), dec)
+    return RegularDecomposition3(r, dec.h0, (dec.h1, dec.h2, dec.h3), dec, report)
 
 
 def classify_cubic(graph: MultiGraph) -> int:

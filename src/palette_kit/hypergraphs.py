@@ -1,4 +1,4 @@
-"""The hypergraph associated to a coloring, and H-coloring verification.
+"""The hypergraph associated to a coloring.
 
 The associated hypergraph has one vertex per distinct palette and one
 hyperedge per used color collecting the palettes containing it.  Loops
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring, palettes_of
 from .errors import MalformedInput
-from .multigraph import MultiGraph
-from .solver import PALETTE_INDEX_EDGE_CAP, palette_index
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,6 @@ class Hypergraph:
     def order(self) -> int:
         return len(self.vertices)
 
-    def star(self, vertex_index: int) -> frozenset[int]:
-        """The set of hyperedge ids incident with a vertex."""
-        return frozenset(h for h, members in self.hyperedges if vertex_index in members)
-
     def to_json(self) -> str:
         def label(x):
             return sorted(x) if isinstance(x, frozenset) else x
@@ -80,16 +74,6 @@ class Hypergraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class HColoring:
-    """A map from edge ids of G to hyperedge ids of H."""
-
-    assignment: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-
-
 def associated_hypergraph(coloring: EdgeColoring) -> Hypergraph:
     system = palettes_of(coloring)
     vertices = system.palettes
@@ -108,77 +92,3 @@ def pairwise_intersecting(hypergraph: Hypergraph) -> bool:
             if not edges[i][1] & edges[j][1]:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class HColoringReport:
-    ok: bool
-    violations: tuple[tuple[int, str], ...]
-
-
-def verify_h_coloring(
-    graph: MultiGraph, hypergraph: Hypergraph, f: HColoring
-) -> HColoringReport:
-    """Check the defining condition of an H-coloring at every vertex.
-
-    At each vertex u the incident edges must map injectively (an improper f
-    cannot be an edge-coloring) and their image must equal the full star of
-    some hypergraph vertex.
-    """
-    assignment = f.assignment
-    if assignment.keys() != set(graph.edge_ids):
-        raise MalformedInput("H-coloring must be total on the edge set")
-    valid_ids = {hid for hid, _ in hypergraph.hyperedges}
-    if not set(assignment.values()) <= valid_ids:
-        raise MalformedInput("H-coloring uses unknown hyperedge ids")
-    stars = {hypergraph.star(i) for i in range(hypergraph.order)}
-    violations: list[tuple[int, str]] = []
-    for u in range(graph.n):
-        incident = [assignment[eid] for eid, _ in graph.incidence[u]]
-        image = frozenset(incident)
-        if len(image) != len(incident):
-            violations.append((u, "incident edges map to a repeated hyperedge"))
-            continue
-        if image not in stars:
-            violations.append((u, "image is not the star of any hypergraph vertex"))
-    return HColoringReport(not violations, tuple(violations))
-
-
-def induced_coloring(graph: MultiGraph, f: HColoring) -> EdgeColoring:
-    """Read an H-coloring back as an edge coloring (colors = hyperedge ids)."""
-    return EdgeColoring(graph, dict(f.assignment))
-
-
-def canonical_h_coloring(coloring: EdgeColoring) -> tuple[Hypergraph, HColoring]:
-    """The pair (associated hypergraph, e -> h_{c(e)}); always verifies."""
-    hypergraph = associated_hypergraph(coloring)
-    f = HColoring(dict(coloring.colors))
-    return hypergraph, f
-
-
-@dataclass(frozen=True)
-class OrderBoundCertificate:
-    order: int
-    hypergraph: Hypergraph
-    h_coloring: HColoring
-
-
-def hypergraph_order_bounds(
-    graph: MultiGraph, max_edges: int = PALETTE_INDEX_EDGE_CAP
-) -> OrderBoundCertificate:
-    """Certify the palette index as a smallest-hypergraph order, per instance.
-
-    The upper bound is constructive: the associated hypergraph of a minimal
-    coloring has exactly s_check vertices and the canonical map is a valid
-    H-coloring.  The lower bound direction (any valid H-coloring induces at
-    most |V(H)| distinct palettes) is checked on arbitrary certificates by
-    induced_coloring plus palette counting.
-    """
-    result = palette_index(graph, max_edges=max_edges)
-    hypergraph, f = canonical_h_coloring(result.coloring)
-    report = verify_h_coloring(graph, hypergraph, f)
-    if not report.ok:
-        raise AssertionError("canonical H-coloring failed verification")
-    if hypergraph.order != result.s_check:
-        raise AssertionError("associated hypergraph order differs from palette count")
-    return OrderBoundCertificate(hypergraph.order, hypergraph, f)

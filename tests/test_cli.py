@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -8,10 +9,11 @@ import sys
 
 import pytest
 
-from palette_kit import cli, decomposition, solver
+from palette_kit import cli, coloring, decomposition, solver
 from palette_kit import families as fam
+from palette_kit.errors import InvalidCertificate
 from palette_kit.formats import encode_graph6, encode_sparse6
-from palette_kit.multigraph import MultiGraph
+from palette_kit.multigraph import EdgeSubset, MultiGraph
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -158,3 +160,194 @@ def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
     code, out = run_cli(["chromatic-index", "--max-edges", "6", str(path)])
     assert code == 0
     assert json.loads(out)["chi_prime"] == 3
+
+
+def write_graph(tmp_path, graph, name="g.g6") -> str:
+    path = tmp_path / name
+    path.write_text(encode_graph6(graph) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "graph,verifications,chi_searches",
+    [(fam.complete_graph(4), 1, 3), (fam.petersen_graph(), 2, 10)],
+    ids=["k4", "petersen"],
+)
+def test_corpus_record_verifies_each_certificate_once(
+        monkeypatch, graph, verifications, chi_searches):
+    # K4 (s = 1): thm-s3 verifies its one-part certificate; cor-regular3 has
+    # none.  Petersen (s = 3): thm-s3 and cor-regular3 verify one each.  χ′
+    # runs on the whole graph in the palette search and in classify_cubic,
+    # then once per part per verification: 1 + 1 + 1 and 1 + 1 + 4 + 4.
+    counts = {"verify": 0, "chi": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    verify = counting("verify", decomposition.verify_decomposition_3)
+    chi = counting("chi", coloring.chromatic_index)
+    for module in (cli, decomposition):
+        monkeypatch.setattr(module, "verify_decomposition_3", verify)
+    for module in (cli, coloring, decomposition, solver):
+        monkeypatch.setattr(module, "chromatic_index", chi)
+    task = (0, "g", graph.n, graph.edges, cli.CHECK_NAMES, solver.PALETTE_INDEX_EDGE_CAP)
+    record = cli._corpus_record(task)
+    assert set(record["checks"].values()) <= {"pass", "skip"}
+    assert counts == {"verify": verifications, "chi": chi_searches}
+
+
+@pytest.mark.parametrize(
+    "graph,check",
+    [(fam.complete_graph(7), "thm-s3"), (fam.petersen_graph(), "cor-regular3")],
+    ids=["k7", "petersen"],
+)
+def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, graph, check):
+    real = decomposition.extract_decomposition_3
+    seen = []
+
+    def tampered(col):
+        dec = real(col)
+        moved = min(dec.h2.members)
+        dec = dataclasses.replace(
+            dec,
+            h2=EdgeSubset(col.graph, dec.h2.members - {moved}),
+            h3=EdgeSubset(col.graph, dec.h3.members | {moved}),
+        )
+        seen.append(decomposition.decomposition3_to_json(dec))
+        return dec
+
+    for module in (cli, decomposition):
+        monkeypatch.setattr(module, "extract_decomposition_3", tampered)
+    code, out = run_cli(["corpus", "--checks", check, write_graph(tmp_path, graph)])
+    assert code == 2
+    record = json.loads(out)["records"][0]
+    assert record["checks"] == {check: "fail"}
+    detail = record["counterexamples"][check]
+    assert detail["certificate"] == seen[-1]
+    failed = {name for name, _ in detail["clauses"]}
+    assert failed and failed <= {"h2-regular", "h3-regular", "h2-class1", "h3-class1",
+                                 "h2-vertices", "h3-vertices"}
+    assert f"FALSIFIED {check} on graph 0" in capsys.readouterr().err
+
+
+def test_certificate_without_the_corollary_shape_falsifies_cor_regular3(
+        monkeypatch, capsys, tmp_path):
+    def shapeless(graph, k, dec):
+        raise InvalidCertificate("three-parts", "H1, H2, H3 must all be present")
+
+    monkeypatch.setattr(decomposition, "regular_certificate_from_decomposition", shapeless)
+    code, out = run_cli(["corpus", "--checks", "cor-regular3",
+                         write_graph(tmp_path, fam.petersen_graph())])
+    assert code == 2
+    detail = json.loads(out)["records"][0]["counterexamples"]["cor-regular3"]
+    assert detail["clauses"] == [["three-parts", "H1, H2, H3 must all be present"]]
+    assert json.loads(detail["certificate"]) == json.loads(PETERSEN_G6_CERTIFICATE)
+    assert "FALSIFIED cor-regular3 on graph 0" in capsys.readouterr().err
+
+
+PETERSEN_G6_CERTIFICATE = (
+    '{"H0": [0, 5, 9, 10, 12], "H1": [11, 14], "H2": [2, 4, 6, 7], "H3": [1, 3, 8, 13], '
+    '"A": [[0, 1, 2, 3, 4, 6], [8, 9], [5, 7]], "shape": "A1A2"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "graph,target,expected",
+    [
+        (fam.petersen_graph(), 3, PETERSEN_G6_CERTIFICATE),
+        (fam.path_graph(4), 2, '{"H0": [0, 2], "H1": [1]}\n'),
+        (fam.path_graph(4), 3,
+         '{"H0": [0, 2], "H1": [1], "H2": null, "H3": null, "A": [[0, 3], [1, 2], []], '
+         '"shape": null}\n'),
+    ],
+    ids=["petersen-3", "path-2", "path-3"],
+)
+def test_decompose_prints_a_certificate_that_verifies(tmp_path, graph, target, expected):
+    path = write_graph(tmp_path, graph)
+    code, out = run_cli(["decompose", "--target", str(target), path])
+    assert (code, out) == (0, expected)
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, out = run_cli(["verify", path, "--certificate", str(cert)])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_decompose_target2_rejects_three_palettes(tmp_path, capsys):
+    code, out = run_cli(["decompose", "--target", "2", write_graph(tmp_path, fam.petersen_graph())])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: coloring induces 3 palettes, need 2\n"
+
+
+def test_verify_prints_every_clause(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"H0": [0, 2], "H1": [1]}')
+    path = write_graph(tmp_path, fam.path_graph(4))
+    code, out = run_cli(["verify", path, "--certificate", str(cert)])
+    assert code == 0
+    assert out == (
+        '{"clauses": [["delta-gap", true, "max degree exceeds min degree"], '
+        '["parts-present", true, "at least one part is present"], '
+        '["parts-nonempty", true, "every present part has an edge"], '
+        '["edge-disjoint", true, "parts share no edge"], '
+        '["edges-cover", true, "parts cover E(G)"], '
+        '["h0-spanning", true, "H0 covers every vertex"], '
+        '["h0-regular", true, "H0 is 1-regular"], ["h0-class1", true, "H0 is Class 1"], '
+        '["h1-regular", true, "H1 is 1-regular"], ["h1-class1", true, "H1 is Class 1"]], '
+        '"ok": true}\n'
+    )
+
+
+def test_verify_rejects_tampered_and_malformed_certificates(tmp_path):
+    path = write_graph(tmp_path, fam.petersen_graph())
+    cert = json.loads(PETERSEN_G6_CERTIFICATE)
+    cert["H2"].remove(2)
+    cert["H3"].append(2)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(cert))
+    code, out = run_cli(["verify", path, "--certificate", str(cert_file)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert [name for name, passed, _ in report["clauses"] if not passed] == [
+        "h3-regular", "h3-class1", "h2-vertices", "h3-vertices"]
+    cert_file.write_text('{"A": [[0]], "H0": null}')
+    code, out = run_cli(["verify", path, "--certificate", str(cert_file)])
+    assert code == 2
+    assert json.loads(out) == {
+        "ok": False,
+        "clauses": [["certificate-malformed", False, '"A" must be a list of three vertex lists']],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ([], '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'),
+        (["--render"], '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'
+                       "vertices: {1}, {1,2}\nh1: {1} -- {1,2}\nh2: loop at {1,2}\n"),
+    ],
+    ids=["json", "render"],
+)
+def test_hypergraph_subcommand(tmp_path, argv, expected):
+    code, out = run_cli(["hypergraph", *argv, write_graph(tmp_path, fam.path_graph(4))])
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "graph,s_check",
+    [(fam.complete_graph(4), 1), (fam.petersen_graph(), 3), (fam.no_perfect_matching_cubic(), 4)],
+    ids=["k4", "petersen", "no-perfect-matching"],
+)
+def test_cubic_classify_subcommand(tmp_path, graph, s_check):
+    code, out = run_cli(["cubic-classify", write_graph(tmp_path, graph)])
+    assert (code, json.loads(out)) == (0, {"s_check": s_check})
+
+
+def test_cubic_classify_rejects_a_noncubic_graph(tmp_path, capsys):
+    code, out = run_cli(["cubic-classify", write_graph(tmp_path, fam.cycle_graph(5))])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: classify_cubic requires a 3-regular graph\n"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     Decomposition2,
@@ -18,6 +20,7 @@ from palette_kit import (
     NotTwoPalettes,
     TooManyPalettes,
     VertexPartition,
+    chromatic_index,
     classify_cubic,
     decomposition3_to_json,
     decomposition_from_json,
@@ -348,3 +351,63 @@ def test_certificate_json_d2():
     dec = decomposition_from_json(g, '{"H0": [0, 2], "H1": [1]}')
     assert isinstance(dec, Decomposition2)
     assert verify_decomposition_2(g, dec).ok
+
+
+def petersen_corollary_certificate():
+    pet = fam.petersen_graph()
+    return pet, regular_corollary_check(pet)[1].decomposition
+
+
+def b_a_c_d_path_certificate():
+    g = b_a_c_d_path()
+    return g, extract_decomposition_2(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
+
+
+# Pinned from the synthesis that ran chromatic_index on every part itself;
+# the report's witnesses are the same kernel colorings of the same part views.
+@pytest.mark.parametrize(
+    "certificate,synthesize,colors",
+    [
+        (k7_fig3_certificate, synthesize_coloring_3,
+         [4, 5, 6, 1, 2, 3, 6, 5, 7, 8, 9, 4, 8, 9, 7, 9, 7, 8, 3, 2, 1]),
+        (petersen_corollary_certificate, synthesize_coloring_3,
+         [1, 4, 1, 4, 3, 4, 3, 3, 3, 1, 1, 1, 4, 2, 2]),
+        (b_a_c_d_path_certificate, synthesize_coloring_2, [1, 2, 1]),
+    ],
+    ids=["k7-fig3", "petersen-cor-regular3", "b-a-c-d-path"],
+)
+def test_synthesized_colorings_are_pinned(certificate, synthesize, colors):
+    graph, dec = certificate()
+    assert json.loads(synthesize(graph, dec).to_json())["colors"] == colors
+
+
+@st.composite
+def small_simple_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    return MultiGraph.from_pairs(n, chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_simple_graphs())
+def test_synthesis_uses_the_verification_witnesses(g):
+    result = palette_index(g)
+    assume(result.s_check <= 3)
+    dec = extract_decomposition_3(result.coloring)
+    report = verify_decomposition_3(g, dec)
+    assert report.ok
+    assert report.witnesses.keys() == {name for name, _ in dec.parts()}
+    rebuilt: dict[int, int] = {}
+    offset = 0
+    for name, subset in dec.parts():
+        view = induced_edge_subgraph(g, subset)
+        r = is_regular(view)
+        witness = report.witnesses[name]
+        # A proper r-edge-coloring of exactly this part's edges.
+        assert witness.colors.keys() == subset.members
+        assert set(witness.colors.values()) == set(range(1, r + 1))
+        EdgeColoring(view, witness.colors)
+        rebuilt.update({e: c + offset for e, c in chromatic_index(view).witness.colors.items()})
+        offset += r
+    assert synthesize_coloring_3(g, dec).colors == rebuilt

@@ -6,18 +6,13 @@ import pytest
 
 from palette_kit import (
     EdgeColoring,
-    HColoring,
     Hypergraph,
     MalformedInput,
     MultiGraph,
     associated_hypergraph,
-    canonical_h_coloring,
-    hypergraph_order_bounds,
-    induced_coloring,
     pairwise_intersecting,
     palette_index,
     palettes_of,
-    verify_h_coloring,
 )
 from palette_kit import families as fam
 
@@ -81,65 +76,6 @@ def test_pairwise_intersecting():
     assert not pairwise_intersecting(disjoint)
     lonely = Hypergraph(("a",), ((1, frozenset({0})), (2, frozenset({0}))))
     assert pairwise_intersecting(lonely)
-
-
-def test_canonical_h_coloring_verifies():
-    for g in (fam.path_graph(4), fam.complete_graph(4), fam.cycle_graph(5)):
-        coloring = palette_index(g).coloring
-        h, f = canonical_h_coloring(coloring)
-        assert verify_h_coloring(g, h, f).ok
-
-
-def test_constant_map_fails_on_c5():
-    c5 = fam.cycle_graph(5)
-    h = Hypergraph((frozenset({1}),), ((1, frozenset({0})),))
-    f = HColoring({e: 1 for e in c5.edge_ids})
-    report = verify_h_coloring(c5, h, f)
-    assert not report.ok
-    assert len(report.violations) == 5
-
-
-def test_verify_h_coloring_flags_wrong_star():
-    g = fam.path_graph(3)
-    coloring = EdgeColoring(g, {0: 1, 1: 2})
-    h, f = canonical_h_coloring(coloring)
-    bad = HColoring({0: f.assignment[0], 1: f.assignment[0]})
-    report = verify_h_coloring(g, h, bad)
-    assert not report.ok
-
-
-def test_verify_h_coloring_requires_total_map():
-    g = fam.path_graph(3)
-    h, f = canonical_h_coloring(EdgeColoring(g, {0: 1, 1: 2}))
-    with pytest.raises(MalformedInput):
-        verify_h_coloring(g, h, HColoring({0: 1}))
-
-
-def test_induced_coloring_bounds_palettes(rng):
-    # any valid certificate, including one padded with junk vertices and
-    # hyperedges, bounds the palette count by the hypergraph order
-    for _ in range(30):
-        g = random_simple_graph(rng, 6, 0.5)
-        if g.m == 0:
-            continue
-        coloring = random_proper_coloring(rng, g)
-        h, f = canonical_h_coloring(coloring)
-        junk_vertices = h.vertices + ("junk-1", "junk-2")
-        j = len(h.vertices)
-        junk_edges = h.hyperedges + (
-            (max(hid for hid, _ in h.hyperedges) + 1, frozenset({j, j + 1})),
-        )
-        padded = Hypergraph(junk_vertices, junk_edges)
-        report = verify_h_coloring(g, padded, f)
-        assert report.ok  # unused hyperedges are permitted
-        induced = induced_coloring(g, f)
-        assert len(palettes_of(induced)) <= padded.order
-
-
-def test_hypergraph_order_bounds_examples():
-    assert hypergraph_order_bounds(fam.complete_graph(4)).order == 1
-    assert hypergraph_order_bounds(fam.path_graph(4)).order == 2
-    assert hypergraph_order_bounds(fam.complete_graph(3)).order == 3
 
 
 def test_hypergraph_json_and_render():
