@@ -15,8 +15,6 @@ from .decomposition import (
     Decomposition2,
     Decomposition3,
     RegularDecomposition3,
-    build_coloring_2,
-    build_coloring_3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,
@@ -50,7 +48,6 @@ from .formats import (
     encode_edge_list_json,
     encode_graph6,
     encode_sparse6,
-    parse_graph,
     read_graph_file,
 )
 from .hypergraphs import Hypergraph, associated_hypergraph, pairwise_intersecting

@@ -19,8 +19,6 @@ from . import __version__
 from .coloring import ClassLabel, chromatic_index, palettes_of
 from .decomposition import (
     Decomposition3,
-    build_coloring_2,
-    build_coloring_3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,
@@ -28,6 +26,8 @@ from .decomposition import (
     extract_decomposition_2,
     extract_decomposition_3,
     regular_corollary_check,
+    synthesize_coloring_2,
+    synthesize_coloring_3,
     verify_decomposition_2,
     verify_decomposition_3,
 )
@@ -87,78 +87,81 @@ def _default_cap() -> int:
 def _check_lemma_not2(graph, ctx):
     if ctx["regular"] is None:
         return "skip", None
-    if ctx["s_check"] != 2:
+    result = ctx["result"]
+    if result.s_check != 2:
         return "pass", None
-    return "fail", {"s_check": ctx["s_check"], "coloring": ctx["colors"]}
+    colors = [result.coloring.colors[eid] for eid in sorted(graph.edge_ids)]
+    return "fail", {"s_check": result.s_check, "coloring": colors}
 
 
 def _check_thm_cubic(graph, ctx):
     if ctx["regular"] != 3 or not ctx["connected"]:
         return "skip", None
     got = classify_cubic(graph)
-    if got == ctx["s_check"]:
+    s_check = ctx["result"].s_check
+    if got == s_check:
         return "pass", None
-    return "fail", {"classify_cubic": got, "palette_index": ctx["s_check"]}
+    return "fail", {"classify_cubic": got, "palette_index": s_check}
 
 
 def _check_thm_lower(graph, ctx):
-    outcome = check_lower_bound_theorem(graph, max_edges=ctx["max_edges"], result=ctx["result"])
+    outcome = check_lower_bound_theorem(ctx["result"])
     if not outcome.applicable:
         return "pass", None
     if outcome.satisfied:
         return "pass", None
-    return "fail", {"s_check": ctx["s_check"], "min_degree": ctx["min_degree"]}
+    return "fail", {"s_check": ctx["result"].s_check, "min_degree": ctx["min_degree"]}
 
 
 def _check_thm_s2(graph, ctx):
-    coloring = ctx["result"].coloring
-    if ctx["s_check"] == 2:
-        dec = extract_decomposition_2(coloring)
+    result = ctx["result"]
+    if result.s_check == 2:
+        dec = extract_decomposition_2(result.coloring)
         report = verify_decomposition_2(graph, dec)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition2_to_json(dec)}
-        # The builder asserts that the synthesized coloring has two palettes.
-        build_coloring_2(graph, dec, report)
+        # Synthesis asserts that the coloring it builds has two palettes.
+        synthesize_coloring_2(graph, dec, report)
         return "pass", None
     try:
-        extract_decomposition_2(coloring)
+        extract_decomposition_2(result.coloring)
     except (NotTwoPalettes, NonMinimalColoring):
         return "pass", None
     return "fail", {"reason": "extraction succeeded although s_check != 2"}
 
 
 def _check_thm_s3(graph, ctx):
-    coloring = ctx["result"].coloring
-    if ctx["s_check"] <= 3:
-        dec = extract_decomposition_3(coloring)
+    result = ctx["result"]
+    if result.s_check <= 3:
+        dec = extract_decomposition_3(result.coloring)
         report = verify_decomposition_3(graph, dec)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
-        # The builder asserts at most three palettes, one per A-set.
-        build_coloring_3(graph, dec, report)
+        # Synthesis asserts at most three palettes, one per A-set.
+        synthesize_coloring_3(graph, dec, report)
         return "pass", None
     try:
-        extract_decomposition_3(coloring)
+        extract_decomposition_3(result.coloring)
     except (TooManyPalettes, NonMinimalColoring):
         return "pass", None
     return "fail", {"reason": "extraction succeeded although s_check > 3"}
 
 
 def _check_cor_regular3(graph, ctx):
-    k = ctx["regular"]
-    if k is None:
+    if ctx["regular"] is None:
         return "skip", None
+    result = ctx["result"]
     try:
-        s3, cert = regular_corollary_check(graph, max_edges=ctx["max_edges"], result=ctx["result"])
+        s3, cert = regular_corollary_check(result)
     except InvalidCertificate as exc:
         # Extraction only reads the coloring, so this is the rejected certificate.
-        dec = extract_decomposition_3(ctx["result"].coloring)
+        dec = extract_decomposition_3(result.coloring)
         return "fail", {"clauses": exc.failures, "certificate": decomposition3_to_json(dec)}
-    if s3 != (ctx["s_check"] == 3):
-        return "fail", {"s_check": ctx["s_check"], "corollary_s3": s3}
+    if s3 != (result.s_check == 3):
+        return "fail", {"s_check": result.s_check, "corollary_s3": s3}
     if not s3:
         return "pass", None
-    synth = build_coloring_3(graph, cert.decomposition, cert.report)
+    synth = synthesize_coloring_3(graph, cert.decomposition, cert.report)
     if len(palettes_of(synth)) != 3:
         return "fail", {"certificate": decomposition3_to_json(cert.decomposition)}
     return "pass", None
@@ -204,12 +207,9 @@ def _corpus_record(task) -> dict:
     record["k_min"] = result.k_min
     ctx = {
         "result": result,
-        "s_check": result.s_check,
         "regular": is_regular(graph),
         "connected": is_connected(graph),
         "min_degree": dmin,
-        "max_edges": max_edges,
-        "colors": json.loads(result.to_json())["colors"],
     }
     for name in checks:
         try:
@@ -400,12 +400,11 @@ def cmd_fig4_witness(args, out) -> int:
                 break
         if not fragile:
             continue
-        result = palette_index(graph, max_edges=max(args.max_edges, graph.m))
+        result = palette_index(graph, max_edges=args.max_edges)
         if result.s_check != 3:
             continue
-        s3, cert = regular_corollary_check(
-            graph, max_edges=max(args.max_edges, graph.m), result=result)
-        synth = build_coloring_3(graph, cert.decomposition, cert.report)
+        _, cert = regular_corollary_check(result)
+        synth = synthesize_coloring_3(graph, cert.decomposition, cert.report)
         payload = {
             "found": True,
             "index": index,
@@ -488,4 +487,14 @@ def cli_main(argv: list[str] | None = None, out: io.TextIOBase | None = None) ->
 
 
 def main() -> None:
-    raise SystemExit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point the
+        # descriptor at /dev/null so the interpreter's flush at exit cannot
+        # raise again and print a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

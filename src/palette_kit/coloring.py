@@ -234,13 +234,11 @@ def chromatic_index(
     raise AssertionError("chromatic index exceeded the Vizing bound")
 
 
-def is_class1_regular(
-    graph: MultiGraph, max_edges: int = CHROMATIC_INDEX_EDGE_CAP
-) -> EdgeColoring | None:
+def is_class1_regular(graph: MultiGraph) -> EdgeColoring | None:
     """The r-edge-coloring found by ``chromatic_index`` when the graph is
     r-regular and Class 1, else None."""
     r = is_regular(graph)
     if r is None:
         return None
-    result = chromatic_index(graph, max_edges=max_edges)
+    result = chromatic_index(graph)
     return result.witness if result.chi_prime == r else None

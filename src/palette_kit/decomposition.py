@@ -6,12 +6,13 @@ regular Class 1 subgraph and the leftover colors span another.  With at most
 three palettes the color set splits into Venn regions of the palettes, and
 the subgraphs induced by those regions form the certificate.
 
-Extraction only reads a coloring; it does not check what it returns.  Each
-caller verifies a certificate once, and verification runs χ′ once on every
-part.  The report it returns carries each Class 1 part's edge-coloring, and
-``build_coloring_2``/``build_coloring_3`` synthesize from those witnesses
-without another search.  ``synthesize_coloring_2``/``synthesize_coloring_3``
-verify and build in one call.
+A certificate flows ``palette_index`` → ``extract_decomposition_*`` →
+``verify_decomposition_*`` → ``synthesize_coloring_*(graph, dec, report)``.
+Extraction only reads the minimal coloring and does not check what it
+returns.  Each caller verifies a certificate once, and verification runs χ′
+once on every part.  The report it returns carries each Class 1 part's
+edge-coloring, and synthesis builds from those witnesses without another
+search.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .multigraph import (
     is_connected,
     is_regular,
 )
-from .solver import PALETTE_INDEX_EDGE_CAP, PaletteIndexResult, palette_index
+from .solver import PaletteIndexResult
 
 SHAPE_A3 = "A3"
 SHAPE_A1A2 = "A1A2"
@@ -89,12 +90,10 @@ class ClauseReport:
 @dataclass(frozen=True)
 class RegularDecomposition3:
     """Corollary-shaped certificate for a k-regular graph: an optional
-    r-regular spanning part plus three (k-r)/2-regular Class 1 parts, with
-    the passing report of its verification."""
+    r-regular spanning part H0 plus three (k-r)/2-regular Class 1 parts H1,
+    H2, H3, with the passing report of its verification."""
 
     r: int
-    spanning_part: EdgeSubset | None
-    parts: tuple[EdgeSubset, EdgeSubset, EdgeSubset]
     decomposition: Decomposition3
     report: ClauseReport
 
@@ -244,18 +243,13 @@ def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
     return Decomposition2(h0, h1)
 
 
-def synthesize_coloring_2(graph: MultiGraph, dec: Decomposition2) -> EdgeColoring:
-    """Verify ``dec`` once, raising InvalidCertificate when a clause fails,
-    and build its two-palette coloring."""
-    return build_coloring_2(graph, dec, verify_decomposition_2(graph, dec))
-
-
-def build_coloring_2(
+def synthesize_coloring_2(
     graph: MultiGraph, dec: Decomposition2, report: ClauseReport
 ) -> EdgeColoring:
     """Color H0 with 1..delta_min and H1 with the next delta_max - delta_min
     colors, taking each part's coloring from ``report``, the verification of
-    ``dec``; the result has exactly two palettes."""
+    ``dec``; the result has exactly two palettes.  A failing report raises
+    InvalidCertificate."""
     witnesses = report.require_ok().witnesses
     delta_min = min(graph.degrees, default=0)
     mapping: dict[int, int] = {}
@@ -344,18 +338,13 @@ def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
     return dec
 
 
-def synthesize_coloring_3(graph: MultiGraph, dec: Decomposition3) -> EdgeColoring:
-    """Verify ``dec`` once, raising InvalidCertificate when a clause fails,
-    and build its coloring with at most three palettes."""
-    return build_coloring_3(graph, dec, verify_decomposition_3(graph, dec))
-
-
-def build_coloring_3(
+def synthesize_coloring_3(
     graph: MultiGraph, dec: Decomposition3, report: ClauseReport
 ) -> EdgeColoring:
     """Color each present part in exactly its degree on a disjoint color
     interval, taking each part's coloring from ``report``, the verification
-    of ``dec``; vertices in the same A-set end with equal palettes."""
+    of ``dec``; vertices in the same A-set end with equal palettes.  A
+    failing report raises InvalidCertificate."""
     witnesses = report.require_ok().witnesses
     mapping: dict[int, int] = {}
     offset = 0
@@ -374,21 +363,19 @@ def build_coloring_3(
 
 
 def regular_corollary_check(
-    graph: MultiGraph,
-    max_edges: int = PALETTE_INDEX_EDGE_CAP,
-    result: PaletteIndexResult | None = None,
+    result: PaletteIndexResult,
 ) -> tuple[bool, RegularDecomposition3 | None]:
     """For a k-regular graph, decide palette index 3 and produce the
     corollary certificate: three equal-degree Class 1 parts plus an optional
     regular spanning part.
 
-    ``result`` is this graph's ``palette_index``; it is computed when omitted.
+    ``result`` is the graph's ``palette_index``; the graph is
+    ``result.coloring.graph``.
     """
+    graph = result.coloring.graph
     k = is_regular(graph)
     if k is None:
         raise NotRegular("regular_corollary_check requires a regular graph")
-    if result is None:
-        result = palette_index(graph, max_edges=max_edges)
     if result.s_check != 3:
         return False, None
     dec = extract_decomposition_3(result.coloring)
@@ -417,7 +404,7 @@ def regular_certificate_from_decomposition(
             raise InvalidCertificate(
                 "equal-degrees", f"{name} is {degree[name]}-regular, expected {want}"
             )
-    return RegularDecomposition3(r, dec.h0, (dec.h1, dec.h2, dec.h3), dec, report)
+    return RegularDecomposition3(r, dec, report)
 
 
 def classify_cubic(graph: MultiGraph) -> int:

@@ -233,22 +233,6 @@ def encode_edge_list_json(graph: MultiGraph) -> str:
     return json.dumps({"n": graph.n, "edges": edges}, separators=(",", ":"))
 
 
-def parse_graph(data: bytes | str, fmt: str) -> MultiGraph:
-    """Decode one graph; ``fmt`` is graph6, sparse6 or edge-list-json."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii" if fmt != "edge-list-json" else "utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"undecodable input bytes: {exc}") from exc
-    if fmt == "graph6":
-        return decode_graph6(data)
-    if fmt == "sparse6":
-        return decode_sparse6(data)
-    if fmt == "edge-list-json":
-        return decode_edge_list_json(data)
-    raise MalformedInput(f"unknown format {fmt!r}")
-
-
 def detect_and_parse(text: str) -> MultiGraph:
     """Decode a single line or JSON object, sniffing the format."""
     stripped = text.strip()

@@ -90,9 +90,6 @@ class MultiGraph:
     def label_of(self, v: int) -> int:
         return v if self.vertex_labels is None else self.vertex_labels[v]
 
-    def labels(self, vertices) -> frozenset[int]:
-        return frozenset(self.label_of(v) for v in vertices)
-
 
 @dataclass(frozen=True)
 class EdgeSubset:

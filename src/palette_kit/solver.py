@@ -189,16 +189,14 @@ class LowerBoundCheck(NamedTuple):
     satisfied: bool
 
 
-def check_lower_bound_theorem(
-    graph: MultiGraph,
-    max_edges: int = PALETTE_INDEX_EDGE_CAP,
-    result: PaletteIndexResult | None = None,
-) -> LowerBoundCheck:
+def check_lower_bound_theorem(result: PaletteIndexResult) -> LowerBoundCheck:
     """Check that graphs with max degree >= 2 and no spanning even subgraph
     without isolated vertices have palette index above their min degree.
 
-    ``result`` is this graph's ``palette_index``; it is computed when omitted.
+    ``result`` is the graph's ``palette_index``; the graph is
+    ``result.coloring.graph``.
     """
+    graph = result.coloring.graph
     if graph.n == 0:
         return LowerBoundCheck(False, True)
     delta_max = max(graph.degrees)
@@ -208,6 +206,4 @@ def check_lower_bound_theorem(
     exists, _ = has_spanning_even_subgraph_no_isolated(graph)
     if exists:
         return LowerBoundCheck(False, True)
-    if result is None:
-        result = palette_index(graph, max_edges=max_edges)
     return LowerBoundCheck(True, result.s_check > delta_min)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from palette_kit import MultiGraph
 
@@ -26,6 +27,17 @@ def random_multigraph(r: random.Random, n: int, m: int) -> MultiGraph:
         if u != v:
             pairs.append((min(u, v), max(u, v)))
     return MultiGraph.from_pairs(n, pairs)
+
+
+@st.composite
+def multigraphs(draw, max_n: int, max_m: int, min_m: int = 0) -> MultiGraph:
+    """Loopless multigraphs on 2..max_n vertices; a repeated pair is a
+    parallel edge."""
+    n = draw(st.integers(2, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return MultiGraph.from_pairs(n, draw(st.lists(pair, min_size=min_m, max_size=max_m)))
 
 
 def random_proper_coloring(r: random.Random, graph: MultiGraph, spread: int = 2):

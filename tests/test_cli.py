@@ -70,7 +70,7 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (cli, solver, decomposition):
+    for module in (cli, solver):
         monkeypatch.setattr(module, "palette_index", counting)
     task = (0, "g", graph.n, graph.edges, cli.CHECK_NAMES, solver.PALETTE_INDEX_EDGE_CAP)
     record = cli._corpus_record(task)
@@ -78,8 +78,8 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
     assert len(calls) == 1
     # The check really needed the palette index, which it used to re-solve.
     applies = {
-        "thm-lower": lambda: solver.check_lower_bound_theorem(graph).applicable,
-        "cor-regular3": lambda: decomposition.regular_corollary_check(graph)[0],
+        "thm-lower": lambda: solver.check_lower_bound_theorem(real(graph)).applicable,
+        "cor-regular3": lambda: decomposition.regular_corollary_check(real(graph))[0],
     }
     assert applies[check]()
 
@@ -113,6 +113,41 @@ def test_fig4_witness_reports_no_witness(quartic_file):
     code, out = run_cli(["fig4-witness", quartic_file])
     assert code == 0
     assert out == '{"found": false, "searched": 7, "vertex_counts": [5, 8]}\n'
+
+
+# Fig. 4 candidate T + M of rank 60800: 4-regular on 16 vertices, 32 edges,
+# with a perfect matching but no two edge-disjoint ones.
+FIG4_FRAGILE_60800 = "ON^g?CB?{F???@?D_?{?L"
+
+
+def test_fig4_witness_applies_the_edge_cap(tmp_path, capsys):
+    path = tmp_path / "fragile.g6"
+    path.write_text(FIG4_FRAGILE_60800 + "\n")
+    code, out = run_cli(["fig4-witness", str(path)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: edge count is 32, which exceeds the cap of 30\n"
+
+
+@pytest.mark.parametrize("command", ["corpus", "verify"])
+def test_closed_stdout_exits_quietly(tmp_path, mixed_file, command):
+    # Like `palette-kit corpus FILE | head -c 20`: the reader is gone before
+    # the report is written.
+    if command == "corpus":
+        argv = ["corpus", mixed_file]
+    else:
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"H0": [0, 2], "H1": [1]}')
+        argv = ["verify", write_graph(tmp_path, fam.path_graph(4)), "--certificate", str(cert)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from palette_kit.cli import main; main()", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

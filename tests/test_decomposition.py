@@ -46,6 +46,14 @@ def labels(graph, subset):
     return frozenset(induced_edge_subgraph(graph, subset).vertex_labels)
 
 
+def synthesized_2(graph, dec):
+    return synthesize_coloring_2(graph, dec, verify_decomposition_2(graph, dec))
+
+
+def synthesized_3(graph, dec):
+    return synthesize_coloring_3(graph, dec, verify_decomposition_3(graph, dec))
+
+
 def b_a_c_d_path():
     # vertices a=0, b=1, c=2, d=3; edges ab=0, ac=1, cd=2
     return MultiGraph.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
@@ -88,7 +96,7 @@ def test_extract2_rejects_non_nested():
 def test_synthesize2_path():
     g = b_a_c_d_path()
     dec = extract_decomposition_2(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
-    coloring = synthesize_coloring_2(g, dec)
+    coloring = synthesized_2(g, dec)
     system = palettes_of(coloring)
     assert set(system.palettes) == {frozenset({1}), frozenset({1, 2})}
 
@@ -96,7 +104,7 @@ def test_synthesize2_path():
 def test_synthesize2_isolated_vertex_palettes():
     g = fam.disjoint_union(fam.complete_graph(4), fam.edgeless(1))
     dec = extract_decomposition_2(palette_index(g).coloring)
-    coloring = synthesize_coloring_2(g, dec)
+    coloring = synthesized_2(g, dec)
     assert set(palettes_of(coloring).palettes) == {
         frozenset(),
         frozenset({1, 2, 3}),
@@ -107,7 +115,7 @@ def test_synthesize2_invalid_certificate_names_clause():
     g = b_a_c_d_path()
     bad = Decomposition2(None, EdgeSubset(g, g.edge_ids))
     with pytest.raises(InvalidCertificate) as err:
-        synthesize_coloring_2(g, bad)
+        synthesized_2(g, bad)
     assert err.value.clause == "h1-regular"
 
 
@@ -153,7 +161,7 @@ def test_k7_fig3_certificate_verifies():
 
 def test_k7_fig3_synthesis():
     k7, dec = k7_fig3_certificate()
-    coloring = synthesize_coloring_3(k7, dec)
+    coloring = synthesized_3(k7, dec)
     assert len(coloring.colorset) == 9
     system = palettes_of(coloring)
     assert sorted(len(p) for p in system.palettes) == [6, 6, 6]
@@ -272,7 +280,7 @@ def test_synthesize3_rejects_overlapping_parts():
         dec.shape,
     )
     with pytest.raises(InvalidCertificate):
-        synthesize_coloring_3(k7, bad)
+        synthesized_3(k7, bad)
 
 
 def test_round_trip_on_small_graphs(rng):
@@ -287,39 +295,41 @@ def test_round_trip_on_small_graphs(rng):
             continue
         dec = extract_decomposition_3(result.coloring)
         assert verify_decomposition_3(g, dec).ok
-        coloring = synthesize_coloring_3(g, dec)
+        coloring = synthesized_3(g, dec)
         assert len(palettes_of(coloring)) <= 3
 
 
 def test_regular_corollary_petersen():
     pet = fam.petersen_graph()
-    s3, cert = regular_corollary_check(pet)
+    s3, cert = regular_corollary_check(palette_index(pet))
     assert s3
     assert cert.r == 1
-    assert cert.spanning_part is not None
-    for part in cert.parts:
+    dec = cert.decomposition
+    assert dec.h0 is not None
+    for part in (dec.h1, dec.h2, dec.h3):
         assert is_regular(induced_edge_subgraph(pet, part)) == 1
-    assert cert.decomposition.shape == "A1A2"
-    coloring = synthesize_coloring_3(pet, cert.decomposition)
+    assert dec.shape == "A1A2"
+    coloring = synthesize_coloring_3(pet, dec, cert.report)
     assert len(palettes_of(coloring)) == 3
 
 
 def test_regular_corollary_k4_false():
-    s3, cert = regular_corollary_check(fam.complete_graph(4))
+    s3, cert = regular_corollary_check(palette_index(fam.complete_graph(4)))
     assert not s3 and cert is None
 
 
 def test_regular_corollary_requires_regular():
     with pytest.raises(NotRegular):
-        regular_corollary_check(fam.path_graph(4))
+        regular_corollary_check(palette_index(fam.path_graph(4)))
 
 
 def test_regular_corollary_k7():
-    s3, cert = regular_corollary_check(fam.complete_graph(7), max_edges=21)
+    s3, cert = regular_corollary_check(palette_index(fam.complete_graph(7), max_edges=21))
     assert s3
     assert cert.r == 0
-    assert cert.spanning_part is None
-    for part in cert.parts:
+    dec = cert.decomposition
+    assert dec.h0 is None
+    for part in (dec.h1, dec.h2, dec.h3):
         assert is_regular(induced_edge_subgraph(fam.complete_graph(7), part)) == 3
 
 
@@ -355,7 +365,7 @@ def test_certificate_json_d2():
 
 def petersen_corollary_certificate():
     pet = fam.petersen_graph()
-    return pet, regular_corollary_check(pet)[1].decomposition
+    return pet, regular_corollary_check(palette_index(pet))[1].decomposition
 
 
 def b_a_c_d_path_certificate():
@@ -368,11 +378,11 @@ def b_a_c_d_path_certificate():
 @pytest.mark.parametrize(
     "certificate,synthesize,colors",
     [
-        (k7_fig3_certificate, synthesize_coloring_3,
+        (k7_fig3_certificate, synthesized_3,
          [4, 5, 6, 1, 2, 3, 6, 5, 7, 8, 9, 4, 8, 9, 7, 9, 7, 8, 3, 2, 1]),
-        (petersen_corollary_certificate, synthesize_coloring_3,
+        (petersen_corollary_certificate, synthesized_3,
          [1, 4, 1, 4, 3, 4, 3, 3, 3, 1, 1, 1, 4, 2, 2]),
-        (b_a_c_d_path_certificate, synthesize_coloring_2, [1, 2, 1]),
+        (b_a_c_d_path_certificate, synthesized_2, [1, 2, 1]),
     ],
     ids=["k7-fig3", "petersen-cor-regular3", "b-a-c-d-path"],
 )
@@ -410,4 +420,4 @@ def test_synthesis_uses_the_verification_witnesses(g):
         EdgeColoring(view, witness.colors)
         rebuilt.update({e: c + offset for e, c in chromatic_index(view).witness.colors.items()})
         offset += r
-    assert synthesize_coloring_3(g, dec).colors == rebuilt
+    assert synthesize_coloring_3(g, dec, report).colors == rebuilt

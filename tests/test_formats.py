@@ -3,22 +3,24 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     LoopRejected,
     MalformedInput,
+    MultiGraph,
     decode_edge_list_json,
     decode_graph6,
     decode_sparse6,
     encode_edge_list_json,
     encode_graph6,
     encode_sparse6,
-    parse_graph,
     read_graph_file,
 )
 from palette_kit import families as fam
 
-from conftest import random_simple_graph
+from conftest import multigraphs, random_simple_graph
 
 
 def edge_pairs(graph):
@@ -35,14 +37,31 @@ def test_graph6_header_accepted():
     assert edge_pairs(decode_graph6(">>graph6<<D?{")) == edge_pairs(decode_graph6("D?{"))
 
 
-def test_graph6_round_trip_random(rng):
-    for _ in range(60):
-        g = random_simple_graph(rng, rng.randrange(0, 12), 0.4)
-        line = encode_graph6(g)
-        back = decode_graph6(line)
-        assert back.n == g.n
-        assert edge_pairs(back) == edge_pairs(g)
-        assert encode_graph6(back) == line
+@st.composite
+def simple_graphs(draw, max_n: int = 70) -> MultiGraph:
+    """Simple graphs on 0..max_n vertices; from n = 63 graph6 and sparse6
+    spend four bytes on the vertex count."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return MultiGraph(n, ())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] < p[1]
+    )
+    return MultiGraph.from_pairs(n, sorted(draw(st.sets(pair, max_size=2 * n))))
+
+
+FOUR_BYTE_SIZE = MultiGraph.from_pairs(63, [(0, 62), (5, 40)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs())
+@example(FOUR_BYTE_SIZE)
+def test_graph6_round_trip_random(g):
+    line = encode_graph6(g)
+    back = decode_graph6(line)
+    assert back.n == g.n
+    assert edge_pairs(back) == edge_pairs(g)
+    assert encode_graph6(back) == line
 
 
 def test_graph6_bad_length():
@@ -71,14 +90,15 @@ def test_graph6_rejects_multigraph_encode():
         encode_graph6(g)
 
 
-def test_sparse6_round_trip_random(rng):
-    for _ in range(60):
-        g = random_simple_graph(rng, rng.randrange(0, 12), 0.3)
-        line = encode_sparse6(g)
-        assert line.startswith(":")
-        back = decode_sparse6(line)
-        assert back.n == g.n
-        assert edge_pairs(back) == edge_pairs(g)
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs())
+@example(FOUR_BYTE_SIZE)
+def test_sparse6_round_trip_random(g):
+    line = encode_sparse6(g)
+    assert line.startswith(":")
+    back = decode_sparse6(line)
+    assert back.n == g.n
+    assert edge_pairs(back) == edge_pairs(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -131,11 +151,14 @@ def test_edge_list_json_round_trip():
     assert edge_pairs(back) == edge_pairs(g)
 
 
-def test_parse_graph_dispatch():
-    assert parse_graph(b"D?{", "graph6").n == 5
-    assert parse_graph('{"n":1,"edges":[]}', "edge-list-json").n == 1
-    with pytest.raises(MalformedInput):
-        parse_graph("D?{", "unknown")
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=8, max_m=16))
+def test_edge_list_json_round_trip_multigraphs(g):
+    # Parallel edges survive, and edge ids keep their order.
+    line = encode_edge_list_json(g)
+    back = decode_edge_list_json(line)
+    assert (back.n, back.edges) == (g.n, g.edges)
+    assert encode_edge_list_json(back) == line
 
 
 def test_read_graph_file_lines(tmp_path):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeSubset,
@@ -21,7 +20,7 @@ from palette_kit import (
 from palette_kit import families as fam
 
 from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph, bf_perfect_matchings
-from conftest import random_multigraph, random_simple_graph
+from conftest import multigraphs, random_multigraph, random_simple_graph
 
 
 def test_rejects_loops():
@@ -135,17 +134,8 @@ def test_no_perfect_matching(graph):
     assert has_perfect_matching(graph) == (False, None)
 
 
-@st.composite
-def small_multigraphs(draw):
-    n = draw(st.integers(2, 8))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1]
-    )
-    return MultiGraph.from_pairs(n, draw(st.lists(pair, max_size=10)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(small_multigraphs())
+@given(multigraphs(max_n=8, max_m=10))
 def test_perfect_matchings_against_bruteforce(g):
     # Parallel edges are distinct edge ids, so they give distinct matchings.
     found = [frozenset(pm) for pm in perfect_matchings(g)]

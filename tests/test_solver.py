@@ -24,7 +24,7 @@ from palette_kit import families as fam
 from palette_kit.solver import _search
 
 from bruteforce import bf_min_palettes, bf_min_palettes_with_colors
-from conftest import random_proper_coloring, random_simple_graph
+from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
 
 def test_oracle_examples():
@@ -160,22 +160,20 @@ def test_reduce_colors_fixed_point_on_solver_output(rng):
         assert reduce_colors(witness).colors == witness.colors
 
 
-def test_reduce_colors_properties(rng):
-    for _ in range(25):
-        g = random_simple_graph(rng, 6, 0.5)
-        if g.m == 0:
-            continue
-        coloring = random_proper_coloring(rng, g, spread=4)
-        reduced = reduce_colors(coloring)
-        assert len(palettes_of(reduced)) <= len(palettes_of(coloring))
-        assert pairwise_intersecting(associated_hypergraph(reduced))
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(max_n=6, max_m=12, min_m=1), st.randoms(use_true_random=False))
+def test_reduce_colors_properties(g, r):
+    coloring = random_proper_coloring(r, g, spread=4)
+    reduced = reduce_colors(coloring)
+    assert len(palettes_of(reduced)) <= len(palettes_of(coloring))
+    assert pairwise_intersecting(associated_hypergraph(reduced))
 
 
 def test_lower_bound_examples():
     star = fam.star(3)
-    assert check_lower_bound_theorem(star) == (True, True)
-    assert check_lower_bound_theorem(fam.cycle_graph(5)).applicable is False
-    assert check_lower_bound_theorem(fam.path_graph(4)) == (True, True)
+    assert check_lower_bound_theorem(palette_index(star)) == (True, True)
+    assert check_lower_bound_theorem(palette_index(fam.cycle_graph(5))).applicable is False
+    assert check_lower_bound_theorem(palette_index(fam.path_graph(4))) == (True, True)
 
 
 def test_lemma_not2_small_regular():
@@ -191,17 +189,8 @@ def test_lemma_not2_small_regular():
         assert palette_index(g).s_check != 2
 
 
-@st.composite
-def small_multigraphs(draw):
-    n = draw(st.integers(2, 6))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1]
-    )
-    return MultiGraph.from_pairs(n, draw(st.lists(pair, min_size=1, max_size=8)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_multigraphs())
+@given(multigraphs(max_n=6, max_m=8, min_m=1))
 def test_full_budget_search_decides_each_target(g):
     # palette_index proves each target t with one search at budget t * Delta;
     # that is sound only if feasibility is monotone in the color budget.
