@@ -293,11 +293,15 @@ def cmd_corpus(args, out) -> int:
     return 0
 
 
-def _load_single(path: str) -> MultiGraph:
+def _load_single(path: str, max_edges: int) -> MultiGraph:
+    """The file's first graph, refused when it has more edges than the cap."""
     graphs = read_graph_file(path)
     if not graphs:
         raise MalformedInput(f"{path} contains no graphs")
-    return graphs[0][1]
+    graph = graphs[0][1]
+    if graph.m > max_edges:
+        raise ResourceLimit("edge count", graph.m, max_edges)
+    return graph
 
 
 def cmd_palette_index(args, out) -> int:
@@ -320,7 +324,7 @@ def cmd_chromatic_index(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    graph = _load_single(args.file)
+    graph = _load_single(args.file, args.max_edges)
     result = palette_index(graph, max_edges=args.max_edges)
     # Extraction does not check its result; never print a failing certificate.
     if args.target == 2:
@@ -335,7 +339,7 @@ def cmd_decompose(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    graph = _load_single(args.file)
+    graph = _load_single(args.file, args.max_edges)
     with open(args.certificate, "r", encoding="utf-8") as fh:
         payload = fh.read()
     try:
@@ -358,7 +362,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_hypergraph(args, out) -> int:
-    graph = _load_single(args.file)
+    graph = _load_single(args.file, args.max_edges)
     result = palette_index(graph, max_edges=args.max_edges)
     hyper = associated_hypergraph(result.coloring)
     _emit(out, hyper.to_json())
@@ -368,7 +372,7 @@ def cmd_hypergraph(args, out) -> int:
 
 
 def cmd_cubic_classify(args, out) -> int:
-    graph = _load_single(args.file)
+    graph = _load_single(args.file, args.max_edges)
     _emit(out, json.dumps({"s_check": classify_cubic(graph)}))
     return 0
 

@@ -2,7 +2,8 @@
 
 ``_search`` is the one backtracking kernel of both exact searches.  The
 chromatic index runs it with t = n palettes, a bound that never prunes:
-n distinct completed palettes means every vertex is complete.
+n distinct completed palettes means every vertex is complete, and with
+n - 1 of them at most one vertex is open, whose colors always fit one palette.
 """
 
 from __future__ import annotations
@@ -121,7 +122,16 @@ def _search(
 
     Palettes of completed vertices are final, so their distinct count is a
     lower bound on the final palette count; once it reaches t, every
-    incomplete vertex must extend into one of the completed palettes.
+    incomplete vertex must extend into one of the completed palettes.  At
+    t - 1 one palette P is left, so every open vertex that fits no completed
+    palette of its degree must end with P: those vertices share one degree
+    d = |P| and their masks together hold at most d colors.  Both rules only
+    cut subtrees without a solution, so the first coloring found is the same
+    as without them.
+
+    Both rules are checked incrementally: a sweep of every open vertex when
+    the set of completed palettes changes, otherwise only the edge's two
+    ends, with the lookahead's (d, union of masks) passed down the recursion.
     """
     n = graph.n
     deg = graph.degrees
@@ -142,67 +152,74 @@ def _search(
                 return True
         return False
 
-    def rec(i: int, maxused: int) -> bool:
+    def rec(i: int, maxused: int, d: int, union: int) -> bool:
         if i == m:
             return True
         eid, u, v = order[i]
-        taken = masks[u] | masks[v]
-        limit = min(maxused + 1, k_budget)
-        for c in range(1, limit + 1):
+        mu0, mv0 = masks[u], masks[v]
+        ru, rv = rem[u] - 1, rem[v] - 1
+        rem[u], rem[v] = ru, rv
+        closes = ru == 0 or rv == 0
+        taken = mu0 | mv0
+        for c in range(1, min(maxused + 1, k_budget) + 1):
             bit = 1 << (c - 1)
             if taken & bit:
                 continue
-            mu = masks[u] | bit
-            mv = masks[v] | bit
-            if k_budget - mu.bit_count() < rem[u] - 1:
-                continue
-            if k_budget - mv.bit_count() < rem[v] - 1:
+            mu = mu0 | bit
+            mv = mv0 | bit
+            if k_budget - mu.bit_count() < ru or k_budget - mv.bit_count() < rv:
                 continue
             masks[u], masks[v] = mu, mv
-            rem[u] -= 1
-            rem[v] -= 1
+            # Entries of deeper edges left by failed branches are overwritten
+            # before any success reads them.
             assignment[eid] = c
             added: list[int] = []
             before = len(completed)
             ok = True
-            for x, mx in ((u, mu), (v, mv)):
-                if rem[x] == 0:
-                    cnt = completed.get(mx)
-                    if cnt is None:
-                        if len(completed) == t:
-                            ok = False
-                            break
-                        completed[mx] = 1
-                    else:
-                        completed[mx] = cnt + 1
-                    added.append(mx)
-            if ok and len(completed) == t:
-                if before < t:
-                    # Budget just filled: every open vertex must fit.
-                    for x in range(n):
-                        if rem[x] and not fits_completed(masks[x], deg[x]):
-                            ok = False
-                            break
+            if closes:
+                for x, mx in ((u, mu), (v, mv)):
+                    if rem[x] == 0:
+                        cnt = completed.get(mx)
+                        if cnt is None:
+                            if len(completed) == t:
+                                ok = False
+                                break
+                            completed[mx] = 1
+                        else:
+                            completed[mx] = cnt + 1
+                        added.append(mx)
+            nd, nunion = d, union
+            count = len(completed)
+            if ok and count >= t - 1:
+                # Open vertices that fit no completed palette must all end
+                # with the one palette left, or there is none left for them.
+                last = count == t
+                if count > before or d < 0:
+                    xs, nd, nunion = range(n), 0, 0
                 else:
-                    for x in (u, v):
-                        if rem[x] and not fits_completed(masks[x], deg[x]):
+                    xs = (u, v)
+                for x in xs:
+                    if rem[x] and not fits_completed(masks[x], deg[x]):
+                        if last or (nd and deg[x] != nd):
                             ok = False
                             break
-            if ok and rec(i + 1, max(maxused, c)):
+                        nd = deg[x]
+                        nunion |= masks[x]
+                if nunion.bit_count() > nd:
+                    ok = False
+            if ok and rec(i + 1, max(maxused, c), nd, nunion):
                 return True
             for mx in added:
                 if completed[mx] == 1:
                     del completed[mx]
                 else:
                     completed[mx] -= 1
-            del assignment[eid]
-            rem[u] += 1
-            rem[v] += 1
-            masks[u] &= ~bit
-            masks[v] &= ~bit
+        masks[u], masks[v] = mu0, mv0
+        rem[u], rem[v] = ru + 1, rv + 1
         return False
 
-    return dict(assignment) if rec(0, 0) else None
+    # d = -1 asks the first node for a full sweep, as the root state is unchecked.
+    return dict(assignment) if rec(0, 0, -1, 0) else None
 
 
 @dataclass(frozen=True)

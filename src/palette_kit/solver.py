@@ -9,8 +9,13 @@ most t * Delta colors.  A coloring with colors in 1..k also has its colors in
 1..k' for every k' >= k, so feasibility is monotone in k and one search with
 the full budget t * Delta decides each target t.  Only at the winning t is
 the number of colors then minimized, which is exactly the minimality notion
-for witnesses.  Both arguments are elementary; no result of the paper is
-used to prune the search, so the corpus checks built on it are not circular.
+for witnesses: a canonical coloring uses exactly the colors 1..max, so each
+success bounds k_min by its largest color, and the budget descends from
+there until a search fails or it reaches chi'.  The kernel also prunes when
+one palette is left: every open vertex that fits no completed palette must
+end with that palette, so those vertices share one degree d and at most d
+colors.  All three arguments are elementary; no result of the paper is used
+to prune the search, so the corpus checks built on it are not circular.
 The kernel ``_search`` lives in ``coloring``, whose ``chromatic_index`` runs
 it with t = n: n distinct completed palettes means every vertex is complete,
 so that bound never prunes.
@@ -55,10 +60,12 @@ def palette_index(
 
     Each target t gets one search with colors 1..t * Delta, which is
     conclusive by monotonicity in the color budget.  At the first feasible t
-    the budget ascends from chi' to the least feasible k_min.  The witness
-    has exactly s_check distinct palettes, uses k_min colors, and is the
-    lexicographically smallest assignment vector in edge-id order among
-    those witnesses.
+    the budget descends from the largest color of that success: each further
+    success lowers it to its own largest color, and the first failure, or
+    chi', stops it at k_min.  That is one failing search where an ascent from
+    chi' fails once per k below k_min.  The witness has exactly s_check
+    distinct palettes, uses k_min colors, and is the lexicographically
+    smallest assignment vector in edge-id order among those witnesses.
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
@@ -72,11 +79,19 @@ def palette_index(
     t_floor = len(set(graph.degrees))
     for t in range(max(1, t_floor), graph.n + 1):
         budget = t * delta
-        if budget < chi or _search(graph, t, budget, fast_order) is None:
+        if budget < chi:
             continue
-        k = chi
-        while k < budget and _search(graph, t, k, fast_order) is None:
-            k += 1
+        found = _search(graph, t, budget, fast_order)
+        if found is None:
+            continue
+        # A canonical coloring uses exactly the colors 1..max, so each
+        # success bounds k_min by its largest color.
+        k = max(found.values())
+        while k > chi:
+            found = _search(graph, t, k - 1, fast_order)
+            if found is None:
+                break
+            k = max(found.values())
         witness = _search(graph, t, k, tuple(sorted(graph.edges)))
         assert witness is not None
         return PaletteIndexResult(t, EdgeColoring(graph, witness), k, chi)

@@ -34,20 +34,21 @@ def proper_colorings(graph: MultiGraph, max_color: int):
             yield combo
 
 
+def palette_count(graph: MultiGraph, combo) -> int:
+    """Distinct palettes of an assignment indexed by edge position."""
+    return len({
+        frozenset(combo[i] for i, (_, a, b) in enumerate(graph.edges) if v in (a, b))
+        for v in range(graph.n)
+    })
+
+
 def bf_min_palettes(graph: MultiGraph) -> int:
     """Minimum palette count with colors from {1..m}; feasible for m <= 7."""
     if graph.m == 0:
         return 1 if graph.n else 0
     best = graph.n + 1
     for combo in proper_colorings(graph, graph.m):
-        palettes = set()
-        for v in range(graph.n):
-            palettes.add(
-                frozenset(
-                    combo[i] for i, (_, a, b) in enumerate(graph.edges) if v in (a, b)
-                )
-            )
-        best = min(best, len(palettes))
+        best = min(best, palette_count(graph, combo))
     return best
 
 
@@ -119,15 +120,9 @@ def bf_min_palettes_with_colors(graph: MultiGraph, k: int) -> int | None:
     None when no proper coloring exists."""
     best = None
     for combo in proper_colorings(graph, k):
-        palettes = set()
-        for v in range(graph.n):
-            palettes.add(
-                frozenset(
-                    combo[i] for i, (_, a, b) in enumerate(graph.edges) if v in (a, b)
-                )
-            )
-        if best is None or len(palettes) < best:
-            best = len(palettes)
+        count = palette_count(graph, combo)
+        if best is None or count < best:
+            best = count
     return best
 
 

@@ -386,3 +386,16 @@ def test_cubic_classify_rejects_a_noncubic_graph(tmp_path, capsys):
     code, out = run_cli(["cubic-classify", write_graph(tmp_path, fam.cycle_graph(5))])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "error: classify_cubic requires a 3-regular graph\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cubic-classify"], ["verify", "--certificate", "unread.json"]],
+    ids=["cubic-classify", "verify"],
+)
+def test_single_graph_commands_apply_the_edge_cap(tmp_path, capsys, argv):
+    # K4 has 6 edges; the cap is checked before any certificate is read.
+    path = write_graph(tmp_path, fam.complete_graph(4))
+    code, out = run_cli([argv[0], "--max-edges", "1", path, *argv[1:]])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: edge count is 6, which exceeds the cap of 1\n"

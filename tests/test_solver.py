@@ -21,9 +21,15 @@ from palette_kit import (
     reduce_colors,
 )
 from palette_kit import families as fam
+from palette_kit.coloring import _search_order
 from palette_kit.solver import _search
 
-from bruteforce import bf_min_palettes, bf_min_palettes_with_colors
+from bruteforce import (
+    bf_min_palettes,
+    bf_min_palettes_with_colors,
+    palette_count,
+    proper_colorings,
+)
 from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
 
@@ -205,6 +211,41 @@ def test_full_budget_search_decides_each_target(g):
             assert full == every
 
 
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_n=6, max_m=6))
+def test_search_finds_the_lex_first_coloring(g):
+    # The kernel's pruning rules may only cut subtrees without a solution,
+    # so in edge-id order it must return the lexicographically first proper
+    # coloring with <= t palettes, and in search order fail exactly when
+    # that one does not exist.  t = n is the chromatic-index search.
+    first: dict[tuple[int, int], tuple[int, ...]] = {}
+    for combo in proper_colorings(g, g.m + 1):
+        count, top = palette_count(g, combo), max(combo, default=0)
+        for t in range(count, g.n + 1):
+            for k in range(top, g.m + 2):
+                first.setdefault((t, k), combo)
+    id_order = tuple(sorted(g.edges))
+    for t in range(g.n + 1):
+        for k in range(g.m + 2):
+            expected = first.get((t, k))
+            found = _search(g, t, k, id_order)
+            assert found == (None if expected is None else dict(enumerate(expected)))
+            assert (_search(g, t, k, _search_order(g)) is None) == (expected is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=9, min_m=1))
+def test_k_min_is_the_least_feasible_budget(g):
+    # The ascent that palette_index used before descending from its first
+    # success: the least k >= chi' at which the winning t is feasible.
+    result = palette_index(g)
+    order = _search_order(g)
+    k = result.chi_prime
+    while _search(g, result.s_check, k, order) is None:
+        k += 1
+    assert result.k_min == k
+
+
 PINNED_PALETTE_INDEX = [
     (fam.petersen_graph(),
      '{"s_check": 3, "k_min": 4, "colors": [1, 2, 1, 2, 3, 2, 3, 3, 3, 1, 1, 1, 2, 4, 4]}'),
@@ -226,6 +267,10 @@ PINNED_PALETTE_INDEX = [
      '{"s_check": 4, "k_min": 6, "colors": [1, 2, 3, 1, 4, 3, 2, 5, 4, 6, 6, 1, 5, 4]}'),
     (decode_graph6("Ffw}w"),
      '{"s_check": 3, "k_min": 6, "colors": [1, 2, 3, 4, 3, 4, 2, 5, 6, 1, 4, 6, 2, 5, 3]}'),
+    # Atlas index 1248 (bench/fixtures/atlas.g6), the densest graph of the
+    # benchmark's atlas slice: s = 3, chi' = 6, k_min = 8.
+    (decode_graph6("Fvx~w"),
+     '{"s_check": 3, "k_min": 8, "colors": [1, 2, 3, 4, 5, 2, 5, 3, 4, 6, 3, 7, 8, 8, 7, 2, 1, 6]}'),
 ]
 
 
@@ -233,9 +278,10 @@ PINNED_PALETTE_INDEX = [
     "graph,expected",
     PINNED_PALETTE_INDEX,
     ids=["petersen", "K4", "P4", "K1,3", "C5", "multigraph", "E~@_", "E~~G", "Fh?Dw",
-         "F?~wG", "FjvGG", "FJnVW", "Ffw}w"],
+         "F?~wG", "FjvGG", "FJnVW", "Ffw}w", "atlas-1248"],
 )
 def test_palette_index_json_is_pinned(graph, expected):
     # Strings produced by the k-ascent-per-target search that scanned every
-    # k for every t; s_check, k_min and the lex-min witness must not move.
+    # k for every t (atlas-1248: by the ascent at the winning t only);
+    # s_check, k_min and the lex-min witness must not move.
     assert palette_index(graph).to_json() == expected
