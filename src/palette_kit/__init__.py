@@ -14,7 +14,6 @@ from .decomposition import (
     ClauseReport,
     Decomposition2,
     Decomposition3,
-    RegularDecomposition3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 from . import __version__
 from .coloring import ClassLabel, chromatic_index, palettes_of
@@ -32,7 +33,6 @@ from .decomposition import (
     verify_decomposition_3,
 )
 from .errors import (
-    InvalidCertificate,
     MalformedInput,
     NonMinimalColoring,
     NotTwoPalettes,
@@ -42,11 +42,8 @@ from .errors import (
 )
 from .hypergraphs import associated_hypergraph
 from .multigraph import (
-    EdgeSubset,
     MultiGraph,
     degree_profile,
-    has_perfect_matching,
-    induced_edge_subgraph,
     is_connected,
     is_regular,
     perfect_matchings,
@@ -150,20 +147,15 @@ def _check_thm_s3(graph, ctx):
 def _check_cor_regular3(graph, ctx):
     if ctx["regular"] is None:
         return "skip", None
-    result = ctx["result"]
-    try:
-        s3, cert = regular_corollary_check(result)
-    except InvalidCertificate as exc:
-        # Extraction only reads the coloring, so this is the rejected certificate.
-        dec = extract_decomposition_3(result.coloring)
-        return "fail", {"clauses": exc.failures, "certificate": decomposition3_to_json(dec)}
-    if s3 != (result.s_check == 3):
-        return "fail", {"s_check": result.s_check, "corollary_s3": s3}
-    if not s3:
+    checked = regular_corollary_check(ctx["result"])
+    if checked is None:
         return "pass", None
-    synth = synthesize_coloring_3(graph, cert.decomposition, cert.report)
+    dec, report = checked
+    if not report.ok:
+        return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
+    synth = synthesize_coloring_3(graph, dec, report)
     if len(palettes_of(synth)) != 3:
-        return "fail", {"certificate": decomposition3_to_json(cert.decomposition)}
+        return "fail", {"certificate": decomposition3_to_json(dec)}
     return "pass", None
 
 
@@ -195,12 +187,7 @@ def _corpus_record(task) -> dict:
         record["error"] = f"skipped: {graph.m} edges exceed cap {max_edges}"
         record["checks"] = {name: "capped" for name in checks}
         return record
-    try:
-        result = palette_index(graph, max_edges=max_edges)
-    except ResourceLimit as exc:
-        record["error"] = f"resource limit: {exc}"
-        record["checks"] = {name: "capped" for name in checks}
-        return record
+    result = palette_index(graph, max_edges=max_edges)
     record["chi_prime"] = result.chi_prime
     record["class"] = 1 if result.chi_prime == dmax else 2
     record["s_check"] = result.s_check
@@ -313,7 +300,9 @@ def cmd_palette_index(args, out) -> int:
 
 def cmd_chromatic_index(args, out) -> int:
     for _, graph in read_graph_file(args.file):
-        res = chromatic_index(graph, max_edges=args.max_edges)
+        if graph.m > args.max_edges:
+            raise ResourceLimit("edge count", graph.m, args.max_edges)
+        res = chromatic_index(graph)
         payload = {
             "chi_prime": res.chi_prime,
             "class": 1 if res.label is ClassLabel.CLASS1 else 2,
@@ -395,20 +384,15 @@ def cmd_fig4_witness(args, out) -> int:
         matchings = _all_perfect_matchings(graph)
         if not matchings:
             continue
-        fragile = True
-        for pm in matchings:
-            rest = EdgeSubset(graph, graph.edge_ids - pm)
-            view = induced_edge_subgraph(graph, rest)
-            if view.n == graph.n and has_perfect_matching(view)[0]:
-                fragile = False
-                break
-        if not fragile:
+        # Two perfect matchings are edge-disjoint exactly when their id sets are.
+        if any(a.isdisjoint(b) for a, b in combinations(matchings, 2)):
             continue
         result = palette_index(graph, max_edges=args.max_edges)
         if result.s_check != 3:
             continue
-        _, cert = regular_corollary_check(result)
-        synth = synthesize_coloring_3(graph, cert.decomposition, cert.report)
+        dec, report = regular_corollary_check(result)
+        synth = synthesize_coloring_3(graph, dec, report)
+        h0 = report.witnesses.get("H0")
         payload = {
             "found": True,
             "index": index,
@@ -416,8 +400,8 @@ def cmd_fig4_witness(args, out) -> int:
             "n": graph.n,
             "perfect_matchings": len(matchings),
             "s_check": result.s_check,
-            "r": cert.r,
-            "certificate": json.loads(decomposition3_to_json(cert.decomposition)),
+            "r": max(h0.graph.degrees) if h0 is not None else 0,
+            "certificate": json.loads(decomposition3_to_json(dec)),
             "synthesis_palettes": len(palettes_of(synth)),
         }
         _emit(out, json.dumps(payload, sort_keys=True))

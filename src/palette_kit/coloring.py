@@ -13,10 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ImproperColoring, MalformedInput, ResourceLimit
+from .errors import ImproperColoring, MalformedInput
 from .multigraph import MultiGraph, is_regular
-
-CHROMATIC_INDEX_EDGE_CAP = 40
 
 
 class ClassLabel(enum.Enum):
@@ -65,16 +63,6 @@ class EdgeColoring:
         if ids != list(range(len(ids))):
             raise MalformedInput("JSON colorings require edge ids 0..m-1")
         return json.dumps({"colors": [self.colors[i] for i in ids]})
-
-    @classmethod
-    def from_json(cls, graph: MultiGraph, payload: str | dict) -> EdgeColoring:
-        obj = json.loads(payload) if isinstance(payload, str) else payload
-        if not isinstance(obj, dict) or "colors" not in obj:
-            raise MalformedInput('coloring JSON must be {"colors": [...]}')
-        values = obj["colors"]
-        if not isinstance(values, list) or len(values) != graph.m:
-            raise MalformedInput("colors array must have one entry per edge")
-        return cls(graph, {i: c for i, c in enumerate(values)})
 
 
 @dataclass(frozen=True)
@@ -229,17 +217,14 @@ class ChromaticIndexResult:
     label: ClassLabel
 
 
-def chromatic_index(
-    graph: MultiGraph, max_edges: int = CHROMATIC_INDEX_EDGE_CAP
-) -> ChromaticIndexResult:
+def chromatic_index(graph: MultiGraph) -> ChromaticIndexResult:
     """Exact chromatic index with a proper witness using that many colors.
 
     Searches upward from the maximum degree; Vizing's bound for multigraphs
     (max degree + max multiplicity) guarantees termination.  Each k is one
-    ``_search`` with t = n, which never prunes a proper k-coloring.
+    ``_search`` with t = n, which never prunes a proper k-coloring.  There is
+    no edge cap here; callers apply their own before searching.
     """
-    if graph.m > max_edges:
-        raise ResourceLimit("edge count", graph.m, max_edges)
     delta = max(graph.degrees, default=0)
     upper = delta + graph.max_multiplicity
     order = _search_order(graph)

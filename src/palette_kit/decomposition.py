@@ -12,7 +12,9 @@ Extraction only reads the minimal coloring and does not check what it
 returns.  Each caller verifies a certificate once, and verification runs χ′
 once on every part.  The report it returns carries each Class 1 part's
 edge-coloring, and synthesis builds from those witnesses without another
-search.
+search.  ``regular_corollary_check`` appends the corollary's clauses (shape,
+three parts, degree parity, equal degrees) to that same report, so every
+certificate has one verdict, its ``ClauseReport``.
 """
 
 from __future__ import annotations
@@ -79,23 +81,11 @@ class ClauseReport:
         return tuple((name, detail) for name, passed, detail in self.clauses if not passed)
 
     def require_ok(self) -> ClauseReport:
-        """Return the report, or raise InvalidCertificate naming every failed
-        clause."""
+        """Return the report, or raise InvalidCertificate naming the first
+        failed clause."""
         if not self.ok:
-            failures = self.failures()
-            raise InvalidCertificate(*failures[0], failures=failures)
+            raise InvalidCertificate(*self.failures()[0])
         return self
-
-
-@dataclass(frozen=True)
-class RegularDecomposition3:
-    """Corollary-shaped certificate for a k-regular graph: an optional
-    r-regular spanning part H0 plus three (k-r)/2-regular Class 1 parts H1,
-    H2, H3, with the passing report of its verification."""
-
-    r: int
-    decomposition: Decomposition3
-    report: ClauseReport
 
 
 def _edge_partition_clauses(
@@ -364,11 +354,13 @@ def synthesize_coloring_3(
 
 def regular_corollary_check(
     result: PaletteIndexResult,
-) -> tuple[bool, RegularDecomposition3 | None]:
-    """For a k-regular graph, decide palette index 3 and produce the
-    corollary certificate: three equal-degree Class 1 parts plus an optional
-    regular spanning part.
+) -> tuple[Decomposition3, ClauseReport] | None:
+    """For a k-regular graph with palette index 3, the corollary certificate
+    and its report; None when s != 3.
 
+    The certificate is an optional r-regular spanning part H0 plus three
+    (k - r)/2-regular Class 1 parts.  The report is the certificate's
+    verification, with the corollary's clauses appended once it passes.
     ``result`` is the graph's ``palette_index``; the graph is
     ``result.coloring.graph``.
     """
@@ -377,34 +369,28 @@ def regular_corollary_check(
     if k is None:
         raise NotRegular("regular_corollary_check requires a regular graph")
     if result.s_check != 3:
-        return False, None
+        return None
     dec = extract_decomposition_3(result.coloring)
-    return True, regular_certificate_from_decomposition(graph, k, dec)
-
-
-def regular_certificate_from_decomposition(
-    graph: MultiGraph, k: int, dec: Decomposition3
-) -> RegularDecomposition3:
-    """Verify ``dec`` once and check the corollary's shape; raise
-    InvalidCertificate when either fails."""
-    report = verify_decomposition_3(graph, dec).require_ok()
-    if dec.shape == SHAPE_A3:
-        raise InvalidCertificate(
-            "shape-a1a2", "V(H3)=A3 cannot occur for a regular graph"
-        )
-    if dec.h1 is None or dec.h2 is None or dec.h3 is None:
-        raise InvalidCertificate("three-parts", "H1, H2, H3 must all be present")
+    report = verify_decomposition_3(graph, dec)
+    if not report.ok:
+        return dec, report
     degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
     r = degree.get("H0", 0)
-    if not 0 <= r < k or (k - r) % 2 != 0:
-        raise InvalidCertificate("degree-parity", f"k - r = {k - r} must be even and positive")
     want = (k - r) // 2
-    for name in ("H1", "H2", "H3"):
-        if degree[name] != want:
-            raise InvalidCertificate(
-                "equal-degrees", f"{name} is {degree[name]}-regular, expected {want}"
-            )
-    return RegularDecomposition3(r, dec, report)
+    clauses = list(report.clauses)
+    clauses += [
+        ("shape-a1a2", dec.shape != SHAPE_A3, "V(H3)=A3 cannot occur for a regular graph"),
+        ("three-parts", all(h is not None for h in (dec.h1, dec.h2, dec.h3)),
+         "H1, H2, H3 must all be present"),
+        ("degree-parity", 0 <= r < k and (k - r) % 2 == 0,
+         f"k - r = {k - r} must be even and positive"),
+    ]
+    clauses.extend(
+        ("equal-degrees", degree[name] == want,
+         f"{name} is {degree[name]}-regular, expected {want}")
+        for name in ("H1", "H2", "H3") if name in degree
+    )
+    return dec, ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
 
 
 def classify_cubic(graph: MultiGraph) -> int:

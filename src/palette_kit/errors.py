@@ -41,20 +41,16 @@ class NonMinimalColoring(PaletteKitError):
 
 
 class InvalidCertificate(PaletteKitError):
-    """A decomposition certificate fails one of its defining clauses.
+    """A decomposition certificate fails one of its defining clauses, named
+    by ``clause`` and ``detail``."""
 
-    ``clause`` and ``detail`` name the first failure; ``failures`` lists every
-    failed (clause, detail) pair.
-    """
-
-    def __init__(self, clause: str, detail: str = "", failures=()):
+    def __init__(self, clause: str, detail: str = ""):
         msg = f"certificate clause failed: {clause}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
         self.clause = clause
         self.detail = detail
-        self.failures = tuple(failures) or ((clause, detail),)
 
 
 class NotRegular(PaletteKitError):

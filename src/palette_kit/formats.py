@@ -233,29 +233,27 @@ def encode_edge_list_json(graph: MultiGraph) -> str:
     return json.dumps({"n": graph.n, "edges": edges}, separators=(",", ":"))
 
 
-def detect_and_parse(text: str) -> MultiGraph:
-    """Decode a single line or JSON object, sniffing the format."""
-    stripped = text.strip()
-    if not stripped:
-        raise MalformedInput("empty input")
-    if stripped.startswith("{"):
-        return decode_edge_list_json(stripped)
-    if stripped.startswith(":") or stripped.startswith(SPARSE6_HEADER):
-        return decode_sparse6(stripped)
-    return decode_graph6(stripped)
+def detect_and_parse(line: str) -> MultiGraph:
+    """Decode one graph6 or sparse6 line."""
+    if line.startswith(":") or line.startswith(SPARSE6_HEADER):
+        return decode_sparse6(line)
+    return decode_graph6(line)
 
 
 def read_graph_file(path: str) -> list[tuple[str, MultiGraph]]:
     """Read a file of graphs; returns (canonical input string, graph) pairs.
 
     Files may contain graph6/sparse6 lines (one graph per line) or JSON:
-    either a single edge-list object or an array of them.
+    either a single edge-list object or an array of them.  A file holding
+    a '"' is read as JSON, any other file as lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         content = fh.read()
-    stripped = content.lstrip()
     out: list[tuple[str, MultiGraph]] = []
-    if stripped.startswith("{") or stripped.startswith("["):
+    # Edge-list JSON always holds a '"' (the key "n"); graph6 and sparse6
+    # bytes lie in 63..126, which excludes it.  A leading '{' or '[' is no
+    # sign of JSON: graph6 starts n = 60 with '{' and n = 28 with '['.
+    if '"' in content:
         try:
             obj = json.loads(content)
         except json.JSONDecodeError as exc:

@@ -72,7 +72,7 @@ def palette_index(
     if graph.m == 0:
         return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
     delta = max(graph.degrees)
-    chi = chromatic_index(graph, max_edges=max_edges).chi_prime
+    chi = chromatic_index(graph).chi_prime
     fast_order = _search_order(graph)
     # Palettes of vertices with different degrees are distinct, so the
     # number of distinct degrees is a sound starting target.

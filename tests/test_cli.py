@@ -11,7 +11,6 @@ import pytest
 
 from palette_kit import cli, coloring, decomposition, solver
 from palette_kit import families as fam
-from palette_kit.errors import InvalidCertificate
 from palette_kit.formats import encode_graph6, encode_sparse6
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
@@ -79,7 +78,7 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
     # The check really needed the palette index, which it used to re-solve.
     applies = {
         "thm-lower": lambda: solver.check_lower_bound_theorem(real(graph)).applicable,
-        "cor-regular3": lambda: decomposition.regular_corollary_check(real(graph))[0],
+        "cor-regular3": lambda: decomposition.regular_corollary_check(real(graph)) is not None,
     }
     assert applies[check]()
 
@@ -113,6 +112,26 @@ def test_fig4_witness_reports_no_witness(quartic_file):
     code, out = run_cli(["fig4-witness", quartic_file])
     assert code == 0
     assert out == '{"found": false, "searched": 7, "vertex_counts": [5, 8]}\n'
+
+
+def test_fig4_witness_reports_a_found_witness(monkeypatch, tmp_path):
+    # No fragile witness is known, so treat every pair of perfect matchings
+    # as overlapping.  ItlAIKw@w is 4-regular on 10 vertices with s = 3 and
+    # a corollary certificate with r = 2.
+    monkeypatch.setattr(cli, "combinations", lambda items, r: ())
+    path = tmp_path / "quartic10.g6"
+    path.write_text("ItlAIKw@w\n")
+    code, out = run_cli(["fig4-witness", str(path)])
+    assert code == 0
+    assert json.loads(out) == {
+        "found": True, "index": 0, "input": "ItlAIKw@w", "n": 10,
+        "perfect_matchings": 18, "s_check": 3, "r": 2, "synthesis_palettes": 3,
+        "certificate": {
+            "H0": [0, 1, 4, 7, 10, 12, 13, 16, 18, 19], "H1": [11, 17],
+            "H2": [3, 6, 9, 15], "H3": [2, 5, 8, 14],
+            "A": [[0, 1, 2, 4, 5, 7], [3, 6], [8, 9]], "shape": "A1A2",
+        },
+    }
 
 
 # Fig. 4 candidate T + M of rank 60800: 4-regular on 16 vertices, 32 edges,
@@ -197,6 +216,47 @@ def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
     assert json.loads(out)["chi_prime"] == 3
 
 
+def test_corpus_reports_both_capped_paths(tmp_path):
+    # The first 31 edges of K9 are over the cap, so the record is skipped
+    # unsolved.  27 parallel edges solve, but their cycle space has
+    # dimension 26, over thm-lower's enumeration cap of 25.
+    k9 = [[u, v] for u in range(9) for v in range(u + 1, 9)][:31]
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps([{"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}]))
+    code, out = run_cli(["corpus", "--max-edges", "30", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    skipped, parallel = report["records"]
+    assert skipped["error"] == "skipped: 31 edges exceed cap 30"
+    assert skipped["checks"] == {name: "capped" for name in cli.CHECK_NAMES}
+    assert parallel["error"] is None
+    assert parallel["checks"]["thm-lower"] == "capped"
+    others = {name: o for name, o in parallel["checks"].items() if name != "thm-lower"}
+    assert set(others.values()) <= {"pass", "skip"}
+    for name, tally in report["tallies"].items():
+        assert sum(tally.values()) == 2
+        assert tally["capped"] == (2 if name == "thm-lower" else 1)
+
+
+def prism(n: int) -> MultiGraph:
+    """C_n x K2: cubic, and bipartite for even n."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return MultiGraph.from_pairs(
+        2 * n, ring + [(u + n, v + n) for u, v in ring] + [(i, i + n) for i in range(n)])
+
+
+def test_chi_prime_has_no_cap_of_its_own(tmp_path):
+    # The prism on 28 vertices has 42 edges, over the default cap of 30;
+    # every χ′ search applies --max-edges and no cap of its own.
+    path = write_graph(tmp_path, prism(14))
+    code, out = run_cli(["corpus", "--max-edges", "50", path])
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert (record["m"], record["chi_prime"], record["s_check"]) == (42, 3, 1)
+    assert "capped" not in record["checks"].values()
+    assert run_cli(["cubic-classify", "--max-edges", "50", path]) == (0, '{"s_check": 1}\n')
+
+
 def write_graph(tmp_path, graph, name="g.g6") -> str:
     path = tmp_path / name
     path.write_text(encode_graph6(graph) + "\n")
@@ -270,16 +330,26 @@ def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, grap
 
 def test_certificate_without_the_corollary_shape_falsifies_cor_regular3(
         monkeypatch, capsys, tmp_path):
-    def shapeless(graph, k, dec):
-        raise InvalidCertificate("three-parts", "H1, H2, H3 must all be present")
+    # K4 claimed at s = 3: its one-part certificate (H0 = K4) passes every
+    # verify clause, but it has no H1, H2, H3 and H0 is 3-regular.
+    real = solver.palette_index
 
-    monkeypatch.setattr(decomposition, "regular_certificate_from_decomposition", shapeless)
+    def claims_three(graph, **kwargs):
+        return dataclasses.replace(real(graph, **kwargs), s_check=3)
+
+    monkeypatch.setattr(cli, "palette_index", claims_three)
     code, out = run_cli(["corpus", "--checks", "cor-regular3",
-                         write_graph(tmp_path, fam.petersen_graph())])
+                         write_graph(tmp_path, fam.complete_graph(4))])
     assert code == 2
     detail = json.loads(out)["records"][0]["counterexamples"]["cor-regular3"]
-    assert detail["clauses"] == [["three-parts", "H1, H2, H3 must all be present"]]
-    assert json.loads(detail["certificate"]) == json.loads(PETERSEN_G6_CERTIFICATE)
+    assert detail["clauses"] == [
+        ["three-parts", "H1, H2, H3 must all be present"],
+        ["degree-parity", "k - r = 0 must be even and positive"],
+    ]
+    assert json.loads(detail["certificate"]) == {
+        "H0": [0, 1, 2, 3, 4, 5], "H1": None, "H2": None, "H3": None,
+        "A": [[0, 1, 2, 3], [], []], "shape": None,
+    }
     assert "FALSIFIED cor-regular3 on graph 0" in capsys.readouterr().err
 
 

@@ -10,7 +10,6 @@ from palette_kit import (
     EdgeSubset,
     ImproperColoring,
     MultiGraph,
-    ResourceLimit,
     chromatic_index,
     induced_edge_subgraph,
     is_class1_regular,
@@ -147,11 +146,6 @@ def test_chromatic_index_bounds_and_witness(rng):
         assert delta <= res.chi_prime <= delta + g.max_multiplicity
         assert res.witness.colorset <= set(range(1, res.chi_prime + 1))
         assert len(res.witness.colorset) == res.chi_prime
-
-
-def test_chromatic_index_cap():
-    with pytest.raises(ResourceLimit):
-        chromatic_index(fam.complete_graph(5), max_edges=5)
 
 
 def test_is_class1_regular_examples():

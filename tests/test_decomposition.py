@@ -299,23 +299,27 @@ def test_round_trip_on_small_graphs(rng):
         assert len(palettes_of(coloring)) <= 3
 
 
+COROLLARY_CLAUSES = ["shape-a1a2", "three-parts", "degree-parity"] + ["equal-degrees"] * 3
+
+
 def test_regular_corollary_petersen():
     pet = fam.petersen_graph()
-    s3, cert = regular_corollary_check(palette_index(pet))
-    assert s3
-    assert cert.r == 1
-    dec = cert.decomposition
+    dec, report = regular_corollary_check(palette_index(pet))
+    assert report.ok
+    assert [name for name, _, _ in report.clauses[-6:]] == COROLLARY_CLAUSES
+    # r = 1: a 1-regular spanning H0 and three 1-regular parts.
+    assert is_regular(report.witnesses["H0"].graph) == 1
+    assert ("degree-parity", True, "k - r = 2 must be even and positive") in report.clauses
     assert dec.h0 is not None
     for part in (dec.h1, dec.h2, dec.h3):
         assert is_regular(induced_edge_subgraph(pet, part)) == 1
     assert dec.shape == "A1A2"
-    coloring = synthesize_coloring_3(pet, dec, cert.report)
+    coloring = synthesize_coloring_3(pet, dec, report)
     assert len(palettes_of(coloring)) == 3
 
 
 def test_regular_corollary_k4_false():
-    s3, cert = regular_corollary_check(palette_index(fam.complete_graph(4)))
-    assert not s3 and cert is None
+    assert regular_corollary_check(palette_index(fam.complete_graph(4))) is None
 
 
 def test_regular_corollary_requires_regular():
@@ -324,11 +328,12 @@ def test_regular_corollary_requires_regular():
 
 
 def test_regular_corollary_k7():
-    s3, cert = regular_corollary_check(palette_index(fam.complete_graph(7), max_edges=21))
-    assert s3
-    assert cert.r == 0
-    dec = cert.decomposition
-    assert dec.h0 is None
+    dec, report = regular_corollary_check(palette_index(fam.complete_graph(7), max_edges=21))
+    assert report.ok
+    assert [name for name, _, _ in report.clauses[-6:]] == COROLLARY_CLAUSES
+    # r = 0: no H0 and three 3-regular parts.
+    assert dec.h0 is None and "H0" not in report.witnesses
+    assert ("degree-parity", True, "k - r = 6 must be even and positive") in report.clauses
     for part in (dec.h1, dec.h2, dec.h3):
         assert is_regular(induced_edge_subgraph(fam.complete_graph(7), part)) == 3
 
@@ -365,7 +370,7 @@ def test_certificate_json_d2():
 
 def petersen_corollary_certificate():
     pet = fam.petersen_graph()
-    return pet, regular_corollary_check(palette_index(pet))[1].decomposition
+    return pet, regular_corollary_check(palette_index(pet))[0]
 
 
 def b_a_c_d_path_certificate():

@@ -187,3 +187,20 @@ def test_read_graph_file_reports_line(tmp_path):
     with pytest.raises(MalformedInput) as err:
         read_graph_file(str(path))
     assert "bad.g6:2" in str(err.value)
+
+
+@pytest.mark.parametrize("encode", [encode_graph6, encode_sparse6], ids=["graph6", "sparse6"])
+@pytest.mark.parametrize("n", [27, 28, 29, 59, 60, 61])
+@pytest.mark.parametrize("first", [True, False], ids=["first-line", "later-line"])
+def test_read_graph_file_lines_of_any_order(tmp_path, encode, n, first):
+    # graph6 starts n = 28 with '[' and n = 60 with '{'; neither is JSON.
+    lines = [encode(fam.cycle_graph(n)), encode(fam.complete_graph(4))]
+    if not first:
+        lines.reverse()
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n")
+    got = read_graph_file(str(path))
+    assert [t for t, _ in got] == lines
+    assert sorted(g.n for _, g in got) == [4, n]
+    cycle = next(g for _, g in got if g.n == n)
+    assert edge_pairs(cycle) == edge_pairs(fam.cycle_graph(n))
