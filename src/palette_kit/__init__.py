@@ -56,6 +56,7 @@ from .multigraph import (
     VertexPartition,
     connected_components,
     degree_profile,
+    disjoint_perfect_matchings,
     has_perfect_matching,
     has_spanning_even_subgraph_no_isolated,
     induced_edge_subgraph,

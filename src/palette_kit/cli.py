@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 
 from . import __version__
 from .coloring import ClassLabel, chromatic_index, palettes_of
@@ -44,6 +43,7 @@ from .hypergraphs import associated_hypergraph
 from .multigraph import (
     MultiGraph,
     degree_profile,
+    disjoint_perfect_matchings,
     is_connected,
     is_regular,
     perfect_matchings,
@@ -381,11 +381,10 @@ def cmd_fig4_witness(args, out) -> int:
             continue
         searched += 1
         sizes.add(graph.n)
+        if disjoint_perfect_matchings(graph) is not None:
+            continue
         matchings = _all_perfect_matchings(graph)
         if not matchings:
-            continue
-        # Two perfect matchings are edge-disjoint exactly when their id sets are.
-        if any(a.isdisjoint(b) for a, b in combinations(matchings, 2)):
             continue
         result = palette_index(graph, max_edges=args.max_edges)
         if result.s_check != 3:

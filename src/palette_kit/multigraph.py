@@ -252,6 +252,34 @@ def has_perfect_matching(graph: MultiGraph) -> tuple[bool, tuple[int, ...] | Non
     return True, witness
 
 
+def disjoint_perfect_matchings(
+    graph: MultiGraph,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Return the first pair of edge-disjoint perfect matchings, or None.
+
+    For each perfect matching M, in ``perfect_matchings`` order, search for
+    a perfect matching of G − M (the same graph without M's edge ids) and
+    stop at the first hit.  Exact: if A and B are disjoint, B is a perfect
+    matching of G − A, so a pair is found no later than at A.  Both members
+    are sorted edge-id tuples and are verified before they are returned.
+    The empty graph's only perfect matching is the empty one, so it has no
+    pair.
+    """
+    if graph.n == 0:
+        return None
+    for first in perfect_matchings(graph):
+        taken = set(first)
+        rest = MultiGraph(graph.n, tuple(e for e in graph.edges if e[0] not in taken))
+        second = next(perfect_matchings(rest), None)
+        if second is not None:
+            _check_matching_witness(graph, first)
+            _check_matching_witness(graph, second)
+            if not taken.isdisjoint(second):
+                raise AssertionError("perfect matchings are not edge-disjoint")
+            return first, second
+    return None
+
+
 def _check_matching_witness(graph: MultiGraph, witness: tuple[int, ...]) -> None:
     covered: set[int] = set()
     for eid in witness:

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from palette_kit import MultiGraph
 
 
+# Fig. 4 candidate T + M of rank 60800: 4-regular on 16 vertices, 32 edges,
+# with a perfect matching but no two edge-disjoint ones.
+FIG4_FRAGILE_60800 = "ON^g?CB?{F???@?D_?{?L"
+
+
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(20240811)

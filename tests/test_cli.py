@@ -14,7 +14,10 @@ from palette_kit import families as fam
 from palette_kit.formats import encode_graph6, encode_sparse6
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import FIG4_FRAGILE_60800
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 MIXED = [
     encode_graph6(fam.path_graph(4)),
@@ -115,10 +118,10 @@ def test_fig4_witness_reports_no_witness(quartic_file):
 
 
 def test_fig4_witness_reports_a_found_witness(monkeypatch, tmp_path):
-    # No fragile witness is known, so treat every pair of perfect matchings
-    # as overlapping.  ItlAIKw@w is 4-regular on 10 vertices with s = 3 and
-    # a corollary certificate with r = 2.
-    monkeypatch.setattr(cli, "combinations", lambda items, r: ())
+    # No fragile witness is known, so report every graph as having no two
+    # edge-disjoint perfect matchings.  ItlAIKw@w is 4-regular on 10
+    # vertices with s = 3 and a corollary certificate with r = 2.
+    monkeypatch.setattr(cli, "disjoint_perfect_matchings", lambda graph: None)
     path = tmp_path / "quartic10.g6"
     path.write_text("ItlAIKw@w\n")
     code, out = run_cli(["fig4-witness", str(path)])
@@ -134,17 +137,32 @@ def test_fig4_witness_reports_a_found_witness(monkeypatch, tmp_path):
     }
 
 
-# Fig. 4 candidate T + M of rank 60800: 4-regular on 16 vertices, 32 edges,
-# with a perfect matching but no two edge-disjoint ones.
-FIG4_FRAGILE_60800 = "ON^g?CB?{F???@?D_?{?L"
-
-
 def test_fig4_witness_applies_the_edge_cap(tmp_path, capsys):
     path = tmp_path / "fragile.g6"
     path.write_text(FIG4_FRAGILE_60800 + "\n")
     code, out = run_cli(["fig4-witness", str(path)])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "error: edge count is 32, which exceeds the cap of 30\n"
+
+
+def test_fig4_witness_searches_a_fragile_candidate(tmp_path):
+    # The fragile branch end to end: all matchings are counted, and the
+    # exact palette search finds s = 4.
+    path = tmp_path / "fragile.g6"
+    path.write_text(FIG4_FRAGILE_60800 + "\n")
+    code, out = run_cli(["fig4-witness", str(path), "--max-edges", "32"])
+    assert (code, out) == (0, '{"found": false, "searched": 1, "vertex_counts": [16]}\n')
+
+
+def test_fig4_witness_enumerates_no_matchings_without_a_fragile_graph(monkeypatch):
+    # Every connected 4-regular graph on 10 vertices has two edge-disjoint
+    # perfect matchings, so none of them reaches the full enumeration.
+    def refuse(graph):
+        raise AssertionError("enumerated the matchings of a non-fragile graph")
+
+    monkeypatch.setattr(cli, "_all_perfect_matchings", refuse)
+    code, out = run_cli(["fig4-witness", os.path.join(ROOT, "bench", "fixtures", "quartic10.g6")])
+    assert (code, out) == (0, '{"found": false, "searched": 59, "vertex_counts": [10]}\n')
 
 
 @pytest.mark.parametrize("command", ["corpus", "verify"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +12,9 @@ from palette_kit import (
     MultiGraph,
     ResourceLimit,
     connected_components,
+    decode_graph6,
     degree_profile,
+    disjoint_perfect_matchings,
     has_perfect_matching,
     has_spanning_even_subgraph_no_isolated,
     induced_edge_subgraph,
@@ -20,7 +24,7 @@ from palette_kit import (
 from palette_kit import families as fam
 
 from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph, bf_perfect_matchings
-from conftest import multigraphs, random_multigraph, random_simple_graph
+from conftest import FIG4_FRAGILE_60800, multigraphs, random_multigraph, random_simple_graph
 
 
 def test_rejects_loops():
@@ -142,6 +146,29 @@ def test_perfect_matchings_against_bruteforce(g):
     assert len(found) == len(set(found))
     assert set(found) == set(bf_perfect_matchings(g))
     assert has_perfect_matching(g)[0] == bool(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=8, max_m=12))
+def test_disjoint_perfect_matchings_against_bruteforce(g):
+    matchings = bf_perfect_matchings(g)
+    expected = any(a.isdisjoint(b) for a, b in combinations(matchings, 2))
+    pair = disjoint_perfect_matchings(g)
+    assert (pair is not None) == expected
+    if pair is not None:
+        first, second = pair
+        assert frozenset(first) in matchings and frozenset(second) in matchings
+        assert first == tuple(sorted(first)) and second == tuple(sorted(second))
+        assert set(first).isdisjoint(second)
+
+
+def test_disjoint_perfect_matchings_examples():
+    assert disjoint_perfect_matchings(MultiGraph(0, ())) is None
+    assert disjoint_perfect_matchings(MultiGraph.from_pairs(2, [(0, 1), (0, 1)])) == ((0,), (1,))
+    assert disjoint_perfect_matchings(fam.path_graph(4)) is None
+    fragile = decode_graph6(FIG4_FRAGILE_60800)
+    assert has_perfect_matching(fragile)[0]
+    assert disjoint_perfect_matchings(fragile) is None
 
 
 def test_even_subgraph_examples():
