@@ -295,28 +295,36 @@ def _check_matching_witness(graph: MultiGraph, witness: tuple[int, ...]) -> None
 def has_spanning_even_subgraph_no_isolated(
     graph: MultiGraph, max_dimension: int = EVEN_SUBGRAPH_DIMENSION_CAP
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Search the cycle space for an edge set with all degrees even and >= 2.
+    """Search for an edge set with all degrees even and >= 2.
 
-    Every even subgraph is a GF(2) combination of fundamental cycles, so the
-    search is exact.  Raises ResourceLimit when the cycle-space dimension
-    m - n + #components exceeds ``max_dimension``.
+    A bundle of two or more parallel edges can carry either parity and
+    always covers both its ends: take one or two of its edges.  So the search
+    runs over the cycle space of the underlying simple graph, and only the
+    vertices on no such bundle must be covered.  Every even subgraph is a
+    GF(2) combination of fundamental cycles, so the search is exact.  Raises
+    ResourceLimit when that cycle space's dimension m - n + #components
+    exceeds ``max_dimension``.
     """
     if graph.n == 0:
         return True, ()
     if min(graph.degrees) < 2:
         # A vertex of degree < 2 can never reach even degree >= 2.
         return False, None
-    comps = connected_components(graph)
-    dim = graph.m - graph.n + len(comps)
+    bundles: dict[tuple[int, int], list[int]] = {}
+    for eid, u, v in graph.edges:
+        bundles.setdefault((u, v), []).append(eid)
+    simple = MultiGraph(graph.n, tuple((ids[0], u, v) for (u, v), ids in bundles.items()))
+    on_bundle = {x for pair, ids in bundles.items() if len(ids) > 1 for x in pair}
+    need = [v for v in range(graph.n) if v not in on_bundle]
+    comps = connected_components(simple)
+    dim = simple.m - simple.n + len(comps)
     if dim > max_dimension:
         raise ResourceLimit("cycle-space dimension", dim, max_dimension)
-    if dim <= 0:
-        return False, None
 
-    # Edge bit positions follow graph.edges order.
-    pos = {e[0]: i for i, e in enumerate(graph.edges)}
+    # Edge bit positions follow simple.edges order.
+    pos = {e[0]: i for i, e in enumerate(simple.edges)}
     vertex_mask = [0] * graph.n
-    for i, (_, u, v) in enumerate(graph.edges):
+    for i, (_, u, v) in enumerate(simple.edges):
         vertex_mask[u] |= 1 << i
         vertex_mask[v] |= 1 << i
 
@@ -330,7 +338,7 @@ def has_spanning_even_subgraph_no_isolated(
         visited = {root}
         while stack:
             x = stack.pop()
-            for eid, y in graph.incidence[x]:
+            for eid, y in simple.incidence[x]:
                 if y not in visited:
                     visited.add(y)
                     parent_edge[y] = (x, pos[eid])
@@ -356,19 +364,25 @@ def has_spanning_even_subgraph_no_isolated(
         return mask
 
     basis = []
-    for i, (_, u, v) in enumerate(graph.edges):
+    for i, (_, u, v) in enumerate(simple.edges):
         if i not in tree_positions:
             basis.append((1 << i) | tree_path_mask(u, v))
     assert len(basis) == dim
 
-    full_cover = range(graph.n)
     current = 0
-    for step in range(1, 1 << dim):
+    for step in range(1 << dim):
         # Gray-code walk: flip the basis element at the lowest set bit.
-        current ^= basis[(step & -step).bit_length() - 1]
-        if all(current & vertex_mask[v] for v in full_cover):
-            witness = tuple(
-                sorted(e[0] for i, e in enumerate(graph.edges) if current >> i & 1)
-            )
-            return True, witness
+        if step:
+            current ^= basis[(step & -step).bit_length() - 1]
+        if all(current & vertex_mask[v] for v in need):
+            # An edge in the walk's set takes one edge of its bundle; any
+            # other bundle takes two, which covers its ends at even parity.
+            witness = []
+            for i, (_, u, v) in enumerate(simple.edges):
+                ids = bundles[u, v]
+                if current >> i & 1:
+                    witness.append(ids[0])
+                elif len(ids) > 1:
+                    witness += ids[:2]
+            return True, tuple(sorted(witness))
     return False, None

@@ -14,8 +14,16 @@ success bounds k_min by its largest color, and the budget descends from
 there until a search fails or it reaches chi'.  The kernel also prunes when
 one palette is left: every open vertex that fits no completed palette must
 end with that palette, so those vertices share one degree d and at most d
-colors.  All three arguments are elementary; no result of the paper is used
-to prune the search, so the corpus checks built on it are not circular.
+colors.  A parity filter skips searches before they start: each color class
+is a matching, so every color lies in the palettes of an even number of
+vertices.  Grouping the vertices by palette, the classes of odd size must
+then be coverable by at most k colors, each color in an even number of them
+and a class of degree d in d colors (``_parity_ok``).  All four arguments
+are elementary; no result of the paper is used to prune the search, so the
+corpus checks built on it are not circular.  One caveat: on a regular graph
+of odd order the parity filter alone rules out t = 2 (one class of odd
+size, in no color with a partner), so there lemma-not2 tests the filter's
+soundness rather than the search.
 The kernel ``_search`` lives in ``coloring``, whose ``chromatic_index`` runs
 it with t = n: n distinct completed palettes means every vertex is complete,
 so that bound never prunes.
@@ -24,7 +32,10 @@ so that bound never prunes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, _search, _search_order, chromatic_index
@@ -33,6 +44,9 @@ from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
 
 PALETTE_INDEX_EDGE_CAP = 30
 ORACLE_EDGE_CAP = 10
+# Cover states one parity check may expand before it answers "feasible",
+# which is sound: the filter then skips nothing.
+PARITY_EFFORT_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,12 @@ def palette_index(
     chi' fails once per k below k_min.  The witness has exactly s_check
     distinct palettes, uses k_min colors, and is the lexicographically
     smallest assignment vector in edge-id order among those witnesses.
+
+    The parity filter ``_parity_ok`` gives two lower bounds from the degree
+    multiset alone: a target t whose full budget it rejects is skipped, and
+    the descent stops at the least budget it accepts.  It only skips
+    searches that would fail, so the result is the same without it.  On a
+    regular graph of odd order it alone rules out t = 2.
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
@@ -74,12 +94,10 @@ def palette_index(
     delta = max(graph.degrees)
     chi = chromatic_index(graph).chi_prime
     fast_order = _search_order(graph)
-    # Palettes of vertices with different degrees are distinct, so the
-    # number of distinct degrees is a sound starting target.
-    t_floor = len(set(graph.degrees))
-    for t in range(max(1, t_floor), graph.n + 1):
+    degrees = tuple(sorted(graph.degrees))
+    for t in range(1, graph.n + 1):
         budget = t * delta
-        if budget < chi:
+        if budget < chi or not _parity_ok(degrees, t, budget):
             continue
         found = _search(graph, t, budget, fast_order)
         if found is None:
@@ -87,7 +105,9 @@ def palette_index(
         # A canonical coloring uses exactly the colors 1..max, so each
         # success bounds k_min by its largest color.
         k = max(found.values())
-        while k > chi:
+        # The least budget from chi' up that the filter accepts; k passes it.
+        k_lo = next((j for j in range(chi, k) if _parity_ok(degrees, t, j)), k)
+        while k > k_lo:
             found = _search(graph, t, k - 1, fast_order)
             if found is None:
                 break
@@ -96,6 +116,96 @@ def palette_index(
         assert witness is not None
         return PaletteIndexResult(t, EdgeColoring(graph, witness), k, chi)
     raise AssertionError("no palette count up to n was feasible")
+
+
+class _EffortExceeded(Exception):
+    pass
+
+
+_effort_left = [0]
+
+
+@lru_cache(maxsize=1 << 14)
+def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
+    """A necessary condition for a proper coloring with at most t palettes
+    and colors in 1..k, from the sorted degree multiset alone.
+
+    Group the vertices into classes of equal palette.  A color class is a
+    matching, and the vertices it covers are those whose palette holds the
+    color, so every color lies in the palettes of an even number of
+    vertices; only the parity of each class's size matters.  A degree d
+    with n_d vertices has some o_d = n_d (mod 2) odd classes and needs
+    max(o_d, 1) palettes; isolated vertices share the empty one.  The odd
+    classes must then fit ``_odd_cover`` with k colors.  Palettes need not
+    be distinct, so this only relaxes the search's condition.  Past
+    ``PARITY_EFFORT_CAP`` expanded states it answers True, which is sound.
+    """
+    if degrees[-1] > k:
+        return False
+    counts = sorted(Counter(degrees).items(), reverse=True)
+    budget = t
+    if counts[-1][0] == 0:
+        budget -= 1
+        counts.pop()
+    _effort_left[0] = PARITY_EFFORT_CAP
+    try:
+        return any(_odd_cover(rows, min(k, sum(rows) // 2))
+                   for rows in _odd_rows(counts, budget))
+    except _EffortExceeded:
+        return True
+
+
+def _spend() -> None:
+    _effort_left[0] -= 1
+    if _effort_left[0] < 0:
+        raise _EffortExceeded
+
+
+def _odd_rows(counts: list[tuple[int, int]], budget: int):
+    """Degrees of the odd classes, descending, for every choice of o_d
+    whose palettes fit ``budget``; ``counts`` is (d, n_d) by descending d."""
+    if not counts:
+        yield ()
+        return
+    (d, n_d), rest = counts[0], counts[1:]
+    for o in range(n_d % 2, n_d + 1, 2):
+        if max(o, 1) + len(rest) > budget:
+            return
+        for tail in _odd_rows(rest, budget - max(o, 1)):
+            _spend()
+            yield (d,) * o + tail
+
+
+@lru_cache(maxsize=1 << 14)
+def _odd_cover(rows: tuple[int, ...], cols: int) -> bool:
+    """Whether rows with demands ``rows`` (descending, positive) fit a 0/1
+    matrix of ``cols`` columns in which every column holds an even number of
+    rows and row i lies in rows[i] columns.
+
+    Some column holds the first row, so it is tried first with every odd
+    choice of partners; rows of equal demand are interchangeable.
+    ``cols`` is at most sum(rows) // 2, as a column serves two demands.
+    """
+    if not rows:
+        return True
+    total = sum(rows)
+    if total % 2 or rows[0] > cols or total > cols * (len(rows) & ~1):
+        return False
+    _spend()
+    head, rest = rows[0] - 1, Counter(rows[1:])
+    values = sorted(rest, reverse=True)
+    for picks in product(*(range(rest[v], -1, -1) for v in values)):
+        if sum(picks) % 2 == 0:
+            continue
+        left = [head] if head else []
+        for v, p in zip(values, picks):
+            left += [v] * (rest[v] - p)
+            if v > 1:
+                left += [v - 1] * p
+        left.sort(reverse=True)
+        if _odd_cover(tuple(left), min(cols - 1, sum(left) // 2)):
+            return True
+    return False
 
 
 def palette_index_oracle(graph: MultiGraph, max_edges: int = ORACLE_EDGE_CAP) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import io
 import json
 import os
@@ -9,7 +11,7 @@ import sys
 
 import pytest
 
-from palette_kit import cli, coloring, decomposition, solver
+from palette_kit import cli, coloring, decomposition, multigraph, solver
 from palette_kit import families as fam
 from palette_kit.formats import encode_graph6, encode_sparse6
 from palette_kit.multigraph import EdgeSubset, MultiGraph
@@ -234,26 +236,47 @@ def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
     assert json.loads(out)["chi_prime"] == 3
 
 
-def test_corpus_reports_both_capped_paths(tmp_path):
+def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     # The first 31 edges of K9 are over the cap, so the record is skipped
-    # unsolved.  27 parallel edges solve, but their cycle space has
-    # dimension 26, over thm-lower's enumeration cap of 25.
+    # unsolved.  thm-lower's cycle-space cap is lowered to 0: C5's cycle
+    # space has dimension 1, so its thm-lower is capped.  27 parallel edges
+    # need no cycle at all, as two of them form a spanning even subgraph.
+    monkeypatch.setattr(
+        solver,
+        "has_spanning_even_subgraph_no_isolated",
+        functools.partial(multigraph.has_spanning_even_subgraph_no_isolated, max_dimension=0),
+    )
     k9 = [[u, v] for u in range(9) for v in range(u + 1, 9)][:31]
+    c5 = [[i, (i + 1) % 5] for i in range(5)]
     path = tmp_path / "capped.json"
-    path.write_text(json.dumps([{"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}]))
+    path.write_text(json.dumps([
+        {"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}, {"n": 5, "edges": c5},
+    ]))
     code, out = run_cli(["corpus", "--max-edges", "30", str(path)])
     assert code == 0
     report = json.loads(out)
-    skipped, parallel = report["records"]
+    skipped, parallel, cycle = report["records"]
     assert skipped["error"] == "skipped: 31 edges exceed cap 30"
     assert skipped["checks"] == {name: "capped" for name in cli.CHECK_NAMES}
     assert parallel["error"] is None
-    assert parallel["checks"]["thm-lower"] == "capped"
-    others = {name: o for name, o in parallel["checks"].items() if name != "thm-lower"}
+    assert parallel["checks"]["thm-lower"] == "pass"
+    assert set(parallel["checks"].values()) <= {"pass", "skip"}
+    assert cycle["checks"]["thm-lower"] == "capped"
+    others = {name: o for name, o in cycle["checks"].items() if name != "thm-lower"}
     assert set(others.values()) <= {"pass", "skip"}
     for name, tally in report["tallies"].items():
-        assert sum(tally.values()) == 2
+        assert sum(tally.values()) == 3
         assert tally["capped"] == (2 if name == "thm-lower" else 1)
+
+
+def test_corpus_on_quartic9_matches_its_digest():
+    # The report on the 16 connected 4-regular graphs on 9 vertices is
+    # pinned byte for byte; CI checks the same digest through the entry point.
+    with open(os.path.join(ROOT, "tests", "data", "quartic9_corpus.sha256")) as fh:
+        expected = fh.read().split()[0]
+    code, out = run_cli(["corpus", os.path.join(ROOT, "bench", "fixtures", "quartic9.g6")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def prism(n: int) -> MultiGraph:

@@ -207,6 +207,26 @@ def test_even_subgraph_dimension_cap():
     g = fam.complete_graph(5)  # dimension 10 - 5 + 1 = 6
     with pytest.raises(ResourceLimit):
         has_spanning_even_subgraph_no_isolated(g, max_dimension=5)
+    with pytest.raises(ResourceLimit):
+        has_spanning_even_subgraph_no_isolated(fam.complete_graph(9))  # 36 - 9 + 1 = 28
+
+
+def test_even_subgraph_parallel_bundle_needs_no_cycle():
+    # 27 parallel edges span a cycle space of dimension 26, but the
+    # underlying simple graph has none: two of the edges are the witness.
+    g = MultiGraph.from_pairs(2, [(0, 1)] * 27)
+    assert has_spanning_even_subgraph_no_isolated(g, max_dimension=0) == (True, (0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=5, max_m=11, min_m=1))
+def test_even_subgraph_against_bruteforce_with_parallel_edges(g):
+    got, witness = has_spanning_even_subgraph_no_isolated(g)
+    assert got == bf_has_spanning_even_subgraph(g)
+    if got:
+        view = induced_edge_subgraph(g, EdgeSubset(g, frozenset(witness)))
+        assert view.n == g.n
+        assert all(d >= 2 and d % 2 == 0 for d in view.degrees)
 
 
 def test_connected_components():

@@ -22,7 +22,8 @@ from palette_kit import (
 )
 from palette_kit import families as fam
 from palette_kit.coloring import _search_order
-from palette_kit.solver import _search
+from palette_kit import solver
+from palette_kit.solver import _parity_ok, _search
 
 from bruteforce import (
     bf_min_palettes,
@@ -244,6 +245,61 @@ def test_k_min_is_the_least_feasible_budget(g):
     while _search(g, result.s_check, k, order) is None:
         k += 1
     assert result.k_min == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=6, max_m=5))
+def test_parity_filter_accepts_every_feasible_pair(g):
+    # The filter may only skip searches that fail: whenever some proper
+    # coloring with colors in 1..k has at most t palettes, it must accept.
+    degrees = tuple(sorted(g.degrees))
+    delta = max(degrees)
+    for k in range(delta, g.m + 1):
+        best = bf_min_palettes_with_colors(g, k)
+        for t in range(1, g.n + 1):
+            if best is not None and best <= t:
+                assert _parity_ok(degrees, t, k)
+
+
+def test_parity_filter_examples():
+    # K7: three palettes of 6 colors out of 8 each miss two colors, so every
+    # color lies in exactly two of the three odd classes; that needs nine.
+    k7 = tuple(sorted(fam.complete_graph(7).degrees))
+    assert not _parity_ok(k7, 3, 8)
+    assert _parity_ok(k7, 3, 9)
+    # C5: two palettes leave a single class of odd size.
+    c5 = tuple(sorted(fam.cycle_graph(5).degrees))
+    assert not _parity_ok(c5, 2, 4)
+    assert _parity_ok(c5, 3, 3)
+    # Fewer targets than distinct degrees, or fewer colors than Delta.
+    assert not _parity_ok(tuple(sorted(fam.star(3).degrees)), 1, 3)
+    assert not _parity_ok(k7, 7, 5)
+
+
+def test_parity_filter_answers_feasible_past_its_cap(monkeypatch):
+    # Verdicts are cached, so the capped ones are dropped on both sides.
+    monkeypatch.setattr(solver, "PARITY_EFFORT_CAP", 0)
+    _parity_ok.cache_clear()
+    try:
+        assert _parity_ok(tuple(sorted(fam.complete_graph(7).degrees)), 2, 8)
+        assert not _parity_ok((1, 2, 2, 2, 2, 3), 6, 2)  # Delta > k needs no search
+    finally:
+        _parity_ok.cache_clear()
+
+
+def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
+    # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
+    # full-budget search at t = 3 and the id-order witness search (4 before).
+    calls = []
+
+    def counted(graph, t, k, order):
+        calls.append((t, k))
+        return _search(graph, t, k, order)
+
+    monkeypatch.setattr(solver, "_search", counted)
+    graph, expected = PINNED_PALETTE_INDEX[-1]
+    assert palette_index(graph).to_json() == expected
+    assert calls == [(3, 18), (3, 8)]
 
 
 PINNED_PALETTE_INDEX = [
