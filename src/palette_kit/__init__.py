@@ -3,7 +3,6 @@ small multigraphs."""
 
 from .coloring import (
     ChromaticIndexResult,
-    ClassLabel,
     EdgeColoring,
     PaletteSystem,
     chromatic_index,

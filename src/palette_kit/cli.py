@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .coloring import ClassLabel, chromatic_index, palettes_of
+from .coloring import chromatic_index, palettes_of
 from .decomposition import (
     Decomposition3,
     classify_cubic,
@@ -305,7 +305,7 @@ def cmd_chromatic_index(args, out) -> int:
         res = chromatic_index(graph)
         payload = {
             "chi_prime": res.chi_prime,
-            "class": 1 if res.label is ClassLabel.CLASS1 else 2,
+            "class": 1 if res.chi_prime == max(graph.degrees, default=0) else 2,
             "colors": json.loads(res.witness.to_json())["colors"],
         }
         _emit(out, json.dumps(payload))

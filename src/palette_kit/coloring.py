@@ -8,18 +8,12 @@ n - 1 of them at most one vertex is open, whose colors always fit one palette.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ImproperColoring, MalformedInput
 from .multigraph import MultiGraph, is_regular
-
-
-class ClassLabel(enum.Enum):
-    CLASS1 = 1
-    CLASS2 = 2
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,6 @@ def _search(
 class ChromaticIndexResult:
     chi_prime: int
     witness: EdgeColoring
-    label: ClassLabel
 
 
 def chromatic_index(graph: MultiGraph) -> ChromaticIndexResult:
@@ -231,8 +224,7 @@ def chromatic_index(graph: MultiGraph) -> ChromaticIndexResult:
     for k in range(delta, upper + 1):
         assignment = _search(graph, graph.n, k, order)
         if assignment is not None:
-            label = ClassLabel.CLASS1 if k == delta else ClassLabel.CLASS2
-            return ChromaticIndexResult(k, EdgeColoring(graph, assignment), label)
+            return ChromaticIndexResult(k, EdgeColoring(graph, assignment))
     raise AssertionError("chromatic index exceeded the Vizing bound")
 
 

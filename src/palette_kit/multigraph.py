@@ -293,17 +293,21 @@ def _check_matching_witness(graph: MultiGraph, witness: tuple[int, ...]) -> None
 
 
 def has_spanning_even_subgraph_no_isolated(
-    graph: MultiGraph, max_dimension: int = EVEN_SUBGRAPH_DIMENSION_CAP
+    graph: MultiGraph,
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Search for an edge set with all degrees even and >= 2.
 
     A bundle of two or more parallel edges can carry either parity and
     always covers both its ends: take one or two of its edges.  So the search
     runs over the cycle space of the underlying simple graph, and only the
-    vertices on no such bundle must be covered.  Every even subgraph is a
-    GF(2) combination of fundamental cycles, so the search is exact.  Raises
-    ResourceLimit when that cycle space's dimension m - n + #components
-    exceeds ``max_dimension``.
+    vertices on no such bundle must be covered.  That cycle space is the
+    GF(2) kernel of the vertex rows of the incidence matrix, and its basis
+    comes from one elimination of those rows; its dimension is
+    m - rank = m - n + #components.  A vertex to cover that no basis vector
+    reaches lies on no cycle, which decides the answer before any cap.
+    Otherwise the walk over every GF(2) combination of the basis is exact,
+    and raises ResourceLimit when the dimension exceeds
+    ``EVEN_SUBGRAPH_DIMENSION_CAP``.
     """
     if graph.n == 0:
         return True, ()
@@ -313,61 +317,38 @@ def has_spanning_even_subgraph_no_isolated(
     bundles: dict[tuple[int, int], list[int]] = {}
     for eid, u, v in graph.edges:
         bundles.setdefault((u, v), []).append(eid)
-    simple = MultiGraph(graph.n, tuple((ids[0], u, v) for (u, v), ids in bundles.items()))
     on_bundle = {x for pair, ids in bundles.items() if len(ids) > 1 for x in pair}
     need = [v for v in range(graph.n) if v not in on_bundle]
-    comps = connected_components(simple)
-    dim = simple.m - simple.n + len(comps)
-    if dim > max_dimension:
-        raise ResourceLimit("cycle-space dimension", dim, max_dimension)
-
-    # Edge bit positions follow simple.edges order.
-    pos = {e[0]: i for i, e in enumerate(simple.edges)}
+    # Bit i stands for the i-th simple pair of ``bundles``.
     vertex_mask = [0] * graph.n
-    for i, (_, u, v) in enumerate(simple.edges):
+    for i, (u, v) in enumerate(bundles):
         vertex_mask[u] |= 1 << i
         vertex_mask[v] |= 1 << i
 
-    parent_edge: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge pos)
-    depth: dict[int, int] = {}
-    tree_positions: set[int] = set()
-    for comp in comps:
-        root = min(comp)
-        depth[root] = 0
-        stack = [root]
-        visited = {root}
-        while stack:
-            x = stack.pop()
-            for eid, y in simple.incidence[x]:
-                if y not in visited:
-                    visited.add(y)
-                    parent_edge[y] = (x, pos[eid])
-                    depth[y] = depth[x] + 1
-                    tree_positions.add(pos[eid])
-                    stack.append(y)
-
-    def tree_path_mask(a: int, b: int) -> int:
-        mask = 0
-        while depth[a] > depth[b]:
-            p, ep = parent_edge[a]
-            mask ^= 1 << ep
-            a = p
-        while depth[b] > depth[a]:
-            p, ep = parent_edge[b]
-            mask ^= 1 << ep
-            b = p
-        while a != b:
-            pa, ea = parent_edge[a]
-            pb, eb = parent_edge[b]
-            mask ^= (1 << ea) | (1 << eb)
-            a, b = pa, pb
-        return mask
-
-    basis = []
-    for i, (_, u, v) in enumerate(simple.edges):
-        if i not in tree_positions:
-            basis.append((1 << i) | tree_path_mask(u, v))
-    assert len(basis) == dim
+    # Reduced row echelon form of the vertex rows, as pivot bit -> row.
+    pivots: dict[int, int] = {}
+    for row in vertex_mask:
+        for p, r in pivots.items():
+            if row >> p & 1:
+                row ^= r
+        if row:
+            low = (row & -row).bit_length() - 1
+            pivots = {p: r ^ row if r >> low & 1 else r for p, r in pivots.items()}
+            pivots[low] = row
+    # Each free bit f spans the kernel with the pivots whose row has bit f.
+    basis = [
+        1 << f | sum(1 << p for p, r in pivots.items() if r >> f & 1)
+        for f in range(len(bundles))
+        if f not in pivots
+    ]
+    reach = 0
+    for vec in basis:
+        reach |= vec
+    if any(not reach & vertex_mask[v] for v in need):
+        return False, None
+    dim = len(basis)
+    if dim > EVEN_SUBGRAPH_DIMENSION_CAP:
+        raise ResourceLimit("cycle-space dimension", dim, EVEN_SUBGRAPH_DIMENSION_CAP)
 
     current = 0
     for step in range(1 << dim):
@@ -378,8 +359,7 @@ def has_spanning_even_subgraph_no_isolated(
             # An edge in the walk's set takes one edge of its bundle; any
             # other bundle takes two, which covers its ends at even parity.
             witness = []
-            for i, (_, u, v) in enumerate(simple.edges):
-                ids = bundles[u, v]
+            for i, ids in enumerate(bundles.values()):
                 if current >> i & 1:
                     witness.append(ids[0])
                 elif len(ids) > 1:

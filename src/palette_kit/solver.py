@@ -208,7 +208,7 @@ def _odd_cover(rows: tuple[int, ...], cols: int) -> bool:
     return False
 
 
-def palette_index_oracle(graph: MultiGraph, max_edges: int = ORACLE_EDGE_CAP) -> int:
+def palette_index_oracle(graph: MultiGraph) -> int:
     """Independent ground truth: exhaust proper colorings up to relabeling.
 
     Enumerates every canonical proper coloring with at most n * Delta colors
@@ -216,8 +216,8 @@ def palette_index_oracle(graph: MultiGraph, max_edges: int = ORACLE_EDGE_CAP) ->
     finished vertices as a branch-and-bound lower bound.  No code is shared
     with palette_index.
     """
-    if graph.m > max_edges:
-        raise ResourceLimit("edge count", graph.m, max_edges)
+    if graph.m > ORACLE_EDGE_CAP:
+        raise ResourceLimit("edge count", graph.m, ORACLE_EDGE_CAP)
     if graph.m == 0:
         return 1 if graph.n else 0
     budget = graph.n * max(graph.degrees)

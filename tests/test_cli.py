@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -241,11 +240,7 @@ def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     # unsolved.  thm-lower's cycle-space cap is lowered to 0: C5's cycle
     # space has dimension 1, so its thm-lower is capped.  27 parallel edges
     # need no cycle at all, as two of them form a spanning even subgraph.
-    monkeypatch.setattr(
-        solver,
-        "has_spanning_even_subgraph_no_isolated",
-        functools.partial(multigraph.has_spanning_even_subgraph_no_isolated, max_dimension=0),
-    )
+    monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", 0)
     k9 = [[u, v] for u in range(9) for v in range(u + 1, 9)][:31]
     c5 = [[i, (i + 1) % 5] for i in range(5)]
     path = tmp_path / "capped.json"

