@@ -48,7 +48,7 @@ from .formats import (
     encode_sparse6,
     read_graph_file,
 )
-from .hypergraphs import Hypergraph, associated_hypergraph, pairwise_intersecting
+from .hypergraphs import Hypergraph, associated_hypergraph
 from .multigraph import (
     EdgeSubset,
     MultiGraph,

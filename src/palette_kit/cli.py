@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coloring import chromatic_index, palettes_of
@@ -48,7 +47,7 @@ from .multigraph import (
     is_regular,
     perfect_matchings,
 )
-from .formats import read_graph_file
+from .formats import read_graph_file, read_text
 from .solver import (
     PALETTE_INDEX_EDGE_CAP,
     check_lower_bound_theorem,
@@ -228,6 +227,11 @@ def cmd_corpus(args, out) -> int:
         for i, (text, g) in enumerate(graphs)
     ]
     if args.jobs > 1 and len(tasks) > 1:
+        # Imported here, so that a --jobs 1 run never loads the pool's
+        # modules (multiprocessing, logging, socket, pickle), about
+        # a third of the CLI's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_corpus_record, tasks, chunksize=8))
     else:
@@ -329,8 +333,7 @@ def cmd_decompose(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     graph = _load_single(args.file, args.max_edges)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        payload = fh.read()
+    payload = read_text(args.certificate)
     try:
         dec = decomposition_from_json(graph, payload)
     except MalformedInput as exc:
@@ -465,7 +468,7 @@ def cli_main(argv: list[str] | None = None, out: io.TextIOBase | None = None) ->
             raise MalformedInput(
                 f"--max-edges and {ENV_MAX_EDGES} must be nonnegative, got {args.max_edges}")
         return args.run(args, out)
-    except (MalformedInput, FileNotFoundError) as exc:
+    except MalformedInput as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except PaletteKitError as exc:

@@ -9,41 +9,42 @@ n - 1 of them at most one vertex is open, whose colors always fit one palette.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ImproperColoring, MalformedInput
-from .multigraph import MultiGraph, is_regular
+from .multigraph import FrozenValue, MultiGraph, is_regular
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(FrozenValue):
     """A proper assignment of positive integer colors to every edge.
 
     Properness (incident edges get distinct colors) is validated at
-    construction, so instances are proper by invariant.
+    construction, so instances are proper by invariant.  The colors are a
+    dict, so a coloring compares by value but cannot be hashed.
     """
 
     graph: MultiGraph
     colors: dict[int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", dict(self.colors))
-        missing = self.graph.edge_ids - self.colors.keys()
-        if missing or self.colors.keys() - self.graph.edge_ids:
+    def __init__(self, graph: MultiGraph, colors):
+        colors = dict(colors)
+        missing = graph.edge_ids - colors.keys()
+        if missing or colors.keys() - graph.edge_ids:
             raise ImproperColoring("assignment must be total on the edge set")
-        for eid, c in self.colors.items():
+        for eid, c in colors.items():
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ImproperColoring(f"edge {eid}: color must be a positive integer")
-        for v in range(self.graph.n):
+        for v in range(graph.n):
             seen: set[int] = set()
-            for eid, _ in self.graph.incidence[v]:
-                c = self.colors[eid]
+            for eid, _ in graph.incidence[v]:
+                c = colors[eid]
                 if c in seen:
                     raise ImproperColoring(
                         f"vertex {v}: incident edges share color {c}"
                     )
                 seen.add(c)
+        self.__dict__.update(graph=graph, colors=colors)
 
     @cached_property
     def colorset(self) -> frozenset[int]:
@@ -59,8 +60,7 @@ class EdgeColoring:
         return json.dumps({"colors": [self.colors[i] for i in ids]})
 
 
-@dataclass(frozen=True)
-class PaletteSystem:
+class PaletteSystem(FrozenValue):
     """Distinct palettes of a coloring and the vertex classes they induce.
 
     Palettes are ordered lexicographically by sorted color list, with the
@@ -69,6 +69,9 @@ class PaletteSystem:
 
     palettes: tuple[frozenset[int], ...]
     vertex_class: tuple[int, ...]
+
+    def __init__(self, palettes, vertex_class):
+        self.__dict__.update(palettes=palettes, vertex_class=vertex_class)
 
     def __len__(self) -> int:
         return len(self.palettes)
@@ -204,8 +207,7 @@ def _search(
     return dict(assignment) if rec(0, 0, -1, 0) else None
 
 
-@dataclass(frozen=True)
-class ChromaticIndexResult:
+class ChromaticIndexResult(NamedTuple):
     chi_prime: int
     witness: EdgeColoring
 

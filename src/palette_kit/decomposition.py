@@ -20,7 +20,7 @@ certificate has one verdict, its ``ClauseReport``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, chromatic_index, is_class1_regular, palettes_of
 from .errors import (
@@ -48,14 +48,12 @@ SHAPE_A3 = "A3"
 SHAPE_A1A2 = "A1A2"
 
 
-@dataclass(frozen=True)
-class Decomposition2:
+class Decomposition2(NamedTuple):
     h0: EdgeSubset | None
     h1: EdgeSubset | None
 
 
-@dataclass(frozen=True)
-class Decomposition3:
+class Decomposition3(NamedTuple):
     h0: EdgeSubset | None
     h1: EdgeSubset | None
     h2: EdgeSubset | None
@@ -68,8 +66,7 @@ class Decomposition3:
         return tuple((name, s) for name, s in named if s is not None)
 
 
-@dataclass(frozen=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     """The clauses checked on a certificate.  ``witnesses`` maps each part
     name that passed its Class 1 clause to the r-edge-coloring proving it."""
 

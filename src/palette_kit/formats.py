@@ -240,15 +240,25 @@ def detect_and_parse(line: str) -> MultiGraph:
     return decode_graph6(line)
 
 
+def read_text(path: str) -> str:
+    """The file's contents as UTF-8 text.  A file that cannot be read (it is
+    missing or a directory, say) or is not UTF-8 raises MalformedInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
+
+
 def read_graph_file(path: str) -> list[tuple[str, MultiGraph]]:
     """Read a file of graphs; returns (canonical input string, graph) pairs.
 
     Files may contain graph6/sparse6 lines (one graph per line) or JSON:
     either a single edge-list object or an array of them.  A file holding
-    a '"' is read as JSON, any other file as lines.
+    a '"' is read as JSON, any other file as lines.  A file that cannot be
+    read as UTF-8 text raises MalformedInput, as malformed contents do.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
+    content = read_text(path)
     out: list[tuple[str, MultiGraph]] = []
     # Edge-list JSON always holds a '"' (the key "n"); graph6 and sparse6
     # bytes lie in 63..126, which excludes it.  A leading '{' or '[' is no

@@ -8,26 +8,25 @@ hyperedge per used color collecting the palettes containing it.  Loops
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .coloring import EdgeColoring, palettes_of
 from .errors import MalformedInput
+from .multigraph import FrozenValue
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(FrozenValue):
     """Vertices carry labels (palettes, for associated hypergraphs);
     hyperedges are (id, set of vertex indices) with positive integer ids."""
 
     vertices: tuple
     hyperedges: tuple[tuple[int, frozenset[int]], ...]
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple, hyperedges):
+        if len(set(vertices)) != len(vertices):
             raise MalformedInput("hypergraph vertex labels must be distinct")
         norm = []
         seen_ids: set[int] = set()
-        for hid, members in self.hyperedges:
+        for hid, members in hyperedges:
             members = frozenset(members)
             if not isinstance(hid, int) or isinstance(hid, bool) or hid < 1:
                 raise MalformedInput("hyperedge ids must be positive integers")
@@ -36,10 +35,10 @@ class Hypergraph:
             seen_ids.add(hid)
             if not members:
                 raise MalformedInput(f"hyperedge {hid} is empty")
-            if not all(0 <= x < len(self.vertices) for x in members):
+            if not all(0 <= x < len(vertices) for x in members):
                 raise MalformedInput(f"hyperedge {hid} references unknown vertices")
             norm.append((hid, members))
-        object.__setattr__(self, "hyperedges", tuple(norm))
+        self.__dict__.update(vertices=vertices, hyperedges=tuple(norm))
 
     @property
     def order(self) -> int:
@@ -83,12 +82,3 @@ def associated_hypergraph(coloring: EdgeColoring) -> Hypergraph:
         members = frozenset(index[p] for p in vertices if color in p)
         hyperedges.append((color, members))
     return Hypergraph(vertices, tuple(hyperedges))
-
-
-def pairwise_intersecting(hypergraph: Hypergraph) -> bool:
-    edges = hypergraph.hyperedges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if not edges[i][1] & edges[j][1]:
-                return False
-    return True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import LoopRejected, MalformedInput, ResourceLimit
@@ -18,34 +17,69 @@ from .errors import LoopRejected, MalformedInput, ResourceLimit
 EVEN_SUBGRAPH_DIMENSION_CAP = 25
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class FrozenValue:
+    """An immutable value whose fields are the names its class annotates.
+
+    A subclass's ``__init__`` validates its arguments and stores the fields
+    through ``__dict__``.  Instances then compare and hash by their fields,
+    show them in ``repr``, and raise ``AttributeError`` on assignment.
+    ``cached_property`` also writes through ``__dict__``, so it still works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class MultiGraph(FrozenValue):
     """An immutable multigraph; parallel edges allowed, loops rejected."""
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
-    vertex_labels: tuple[int, ...] | None = None
+    vertex_labels: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges, vertex_labels=None):
+        if n < 0:
             raise MalformedInput("vertex count must be nonnegative")
         seen: set[int] = set()
         norm = []
-        for eid, u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise MalformedInput(f"edge {eid}: endpoint out of range 0..{self.n - 1}")
+        for eid, u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedInput(f"edge {eid}: endpoint out of range 0..{n - 1}")
             if u == v:
                 raise LoopRejected(f"edge {eid}: loop at vertex {u}")
             if eid in seen:
                 raise MalformedInput(f"duplicate edge id {eid}")
             seen.add(eid)
             norm.append((eid, u, v) if u < v else (eid, v, u))
-        object.__setattr__(self, "edges", tuple(norm))
-        if self.vertex_labels is not None:
-            labels = tuple(self.vertex_labels)
-            if len(labels) != self.n:
+        if vertex_labels is not None:
+            vertex_labels = tuple(vertex_labels)
+            if len(vertex_labels) != n:
                 raise MalformedInput("vertex_labels must have one entry per vertex")
-            object.__setattr__(self, "vertex_labels", labels)
+        self.__dict__.update(n=n, edges=tuple(norm), vertex_labels=vertex_labels)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> MultiGraph:
@@ -91,38 +125,36 @@ class MultiGraph:
         return v if self.vertex_labels is None else self.vertex_labels[v]
 
 
-@dataclass(frozen=True)
-class EdgeSubset:
+class EdgeSubset(FrozenValue):
     """A set of edge ids interpreted against a parent graph."""
 
     parent: MultiGraph
     members: frozenset[int]
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        if not members <= self.parent.edge_ids:
-            bad = sorted(members - self.parent.edge_ids)
+    def __init__(self, parent: MultiGraph, members):
+        members = frozenset(members)
+        if not members <= parent.edge_ids:
+            bad = sorted(members - parent.edge_ids)
             raise MalformedInput(f"edge ids {bad} not present in parent graph")
+        self.__dict__.update(parent=parent, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(FrozenValue):
     """An ordered list of pairwise disjoint vertex sets."""
 
     parts: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        parts = tuple(frozenset(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts):
+        parts = tuple(frozenset(p) for p in parts)
         union: set[int] = set()
         for p in parts:
             if union & p:
                 raise MalformedInput("partition parts must be pairwise disjoint")
             union |= p
+        self.__dict__["parts"] = parts
 
     @property
     def union(self) -> frozenset[int]:

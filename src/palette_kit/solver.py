@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -49,8 +48,7 @@ ORACLE_EDGE_CAP = 10
 PARITY_EFFORT_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class PaletteIndexResult:
+class PaletteIndexResult(NamedTuple):
     s_check: int
     coloring: EdgeColoring
     k_min: int

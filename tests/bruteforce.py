@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from palette_kit import MultiGraph
+from palette_kit import Hypergraph, MultiGraph
 
 
 def proper_colorings(graph: MultiGraph, max_color: int):
@@ -142,3 +142,13 @@ def bf_valid_decomposition2_exists(graph: MultiGraph) -> bool:
         if verify_decomposition_2(graph, dec).ok:
             return True
     return False
+
+
+def pairwise_intersecting(hypergraph: Hypergraph) -> bool:
+    """Whether every two hyperedges share a vertex."""
+    edges = hypergraph.hyperedges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if not edges[i][1] & edges[j][1]:
+                return False
+    return True

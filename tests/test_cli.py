@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -110,6 +109,32 @@ def test_cli_import_leaves_networkx_unloaded(mixed_file, quartic_file):
     assert proc.returncode == 0, proc.stderr
     found, witness = json.loads(proc.stdout)
     assert found and len(witness) == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(mixed_file):
+    # Neither importing the CLI nor a --jobs 1 corpus loads the process pool
+    # or dataclasses (whose import pulls in inspect); --jobs 2 imports the
+    # pool and prints the --jobs 1 bytes.
+    script = (
+        "import io, sys\n"
+        "import palette_kit.cli as cli\n"
+        "heavy = {'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}\n"
+        "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
+        "one, two = io.StringIO(), io.StringIO()\n"
+        "assert cli.cli_main(['corpus', '--jobs', '1', sys.argv[1]], one) == 0\n"
+        "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
+        "assert cli.cli_main(['corpus', '--jobs', '2', sys.argv[1]], two) == 0\n"
+        "assert 'concurrent.futures' in sys.modules\n"
+        "assert two.getvalue() == one.getvalue()\n"
+        "sys.stdout.write(one.getvalue())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, mixed_file],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["records"]) == len(MIXED)
 
 
 def test_fig4_witness_reports_no_witness(quartic_file):
@@ -222,6 +247,36 @@ def test_invalid_caps_and_jobs_are_rejected(monkeypatch, capsys, mixed_file, arg
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["palette-index", "BAD"],
+        ["corpus", "--jobs", "1", "BAD"],
+        ["corpus", "--jobs", "2", "BAD"],
+        ["verify", "GOOD", "--certificate", "BAD"],
+    ],
+    ids=["palette-index", "corpus-jobs1", "corpus-jobs2", "verify-certificate"],
+)
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, argv, bad):
+    # A missing file, a directory or bytes that are not UTF-8, as the graph
+    # file or as the certificate, exit 1 with one line on stderr that names
+    # the file, and no traceback.
+    bad_path = tmp_path / bad
+    if bad == "directory":
+        bad_path.mkdir()
+    elif bad == "not-utf8":
+        bad_path.write_bytes(b"\xff\xfe")
+    good = write_graph(tmp_path, fam.complete_graph(4))
+    argv = [{"BAD": str(bad_path), "GOOD": good}.get(a, a) for a in argv]
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {bad_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
@@ -342,8 +397,7 @@ def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, grap
     def tampered(col):
         dec = real(col)
         moved = min(dec.h2.members)
-        dec = dataclasses.replace(
-            dec,
+        dec = dec._replace(
             h2=EdgeSubset(col.graph, dec.h2.members - {moved}),
             h3=EdgeSubset(col.graph, dec.h3.members | {moved}),
         )
@@ -371,7 +425,7 @@ def test_certificate_without_the_corollary_shape_falsifies_cor_regular3(
     real = solver.palette_index
 
     def claims_three(graph, **kwargs):
-        return dataclasses.replace(real(graph, **kwargs), s_check=3)
+        return real(graph, **kwargs)._replace(s_check=3)
 
     monkeypatch.setattr(cli, "palette_index", claims_three)
     code, out = run_cli(["corpus", "--checks", "cor-regular3",

@@ -170,6 +170,17 @@ def test_read_graph_file_lines(tmp_path):
     assert [g.n for _, g in got] == [4, 5]
 
 
+def test_read_graph_file_refuses_an_unreadable_file(tmp_path):
+    # A missing file, a directory and bytes that are not UTF-8 are malformed
+    # input that names the file, not an OSError or a UnicodeDecodeError.
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bytes.g6").write_bytes(b"\xff\xfe")
+    for name in ("missing.g6", "dir", "bytes.g6"):
+        path = str(tmp_path / name)
+        with pytest.raises(MalformedInput, match=f"^cannot read {path}: "):
+            read_graph_file(path)
+
+
 def test_read_graph_file_json_array(tmp_path):
     path = tmp_path / "graphs.json"
     payload = [

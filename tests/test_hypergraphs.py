@@ -10,12 +10,12 @@ from palette_kit import (
     MalformedInput,
     MultiGraph,
     associated_hypergraph,
-    pairwise_intersecting,
     palette_index,
     palettes_of,
 )
 from palette_kit import families as fam
 
+from bruteforce import pairwise_intersecting
 from conftest import random_proper_coloring, random_simple_graph
 
 

@@ -14,7 +14,6 @@ from palette_kit import (
     chromatic_index,
     check_lower_bound_theorem,
     decode_graph6,
-    pairwise_intersecting,
     palette_index,
     palette_index_oracle,
     palettes_of,
@@ -28,6 +27,7 @@ from palette_kit.solver import _parity_ok, _search
 from bruteforce import (
     bf_min_palettes,
     bf_min_palettes_with_colors,
+    pairwise_intersecting,
     palette_count,
     proper_colorings,
 )
