@@ -480,10 +480,13 @@ def main() -> None:
     try:
         code = cli_main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`).  Point the
+    except OSError as exc:
+        # A reader that closed stdout early (say, `| head`) needs no word;
+        # any other failed write (say, a full disk) gets one line.  Point the
         # descriptor at /dev/null so the interpreter's flush at exit cannot
         # raise again and print a traceback.
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error: cannot write output: {exc}\n")
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1

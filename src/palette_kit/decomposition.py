@@ -429,25 +429,27 @@ def decomposition3_to_json(dec: Decomposition3) -> str:
 def _subset_from_json(graph: MultiGraph, value) -> EdgeSubset | None:
     if value is None:
         return None
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not _is_id_list(value):
         raise MalformedInput("part must be null or a list of edge ids")
     return EdgeSubset(graph, frozenset(value))
 
 
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value)
+
+
 def decomposition_from_json(graph: MultiGraph, payload: str | dict):
     """Parse a certificate; the presence of "A" selects Decomposition3."""
-    obj = json.loads(payload) if isinstance(payload, str) else payload
+    try:
+        obj = json.loads(payload) if isinstance(payload, str) else payload
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInput("certificate must be a JSON object")
     if "A" in obj:
         a_sets = obj.get("A")
-        if (
-            not isinstance(a_sets, list)
-            or len(a_sets) != 3
-            or not all(isinstance(p, list) for p in a_sets)
-        ):
+        if not isinstance(a_sets, list) or len(a_sets) != 3 or not all(map(_is_id_list, a_sets)):
             raise MalformedInput('"A" must be a list of three vertex lists')
         shape = obj.get("shape")
         if shape not in (None, SHAPE_A3, SHAPE_A1A2):

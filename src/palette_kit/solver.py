@@ -18,7 +18,9 @@ colors.  A parity filter skips searches before they start: each color class
 is a matching, so every color lies in the palettes of an even number of
 vertices.  Grouping the vertices by palette, the classes of odd size must
 then be coverable by at most k colors, each color in an even number of them
-and a class of degree d in d colors (``_parity_ok``).  All four arguments
+and a class of degree d in d colors.  That is a 0/1 matrix with the classes'
+degrees as row sums and k columns of even sums, which the Gale-Ryser
+criterion decides in one pass (``_parity_ok``).  All four arguments
 are elementary; no result of the paper is used to prune the search, so the
 corpus checks built on it are not circular.  One caveat: on a regular graph
 of odd order the parity filter alone rules out t = 2 (one class of odd
@@ -43,8 +45,8 @@ from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
 
 PALETTE_INDEX_EDGE_CAP = 30
 ORACLE_EDGE_CAP = 10
-# Cover states one parity check may expand before it answers "feasible",
-# which is sound: the filter then skips nothing.
+# Choices of odd classes one parity check may try before it answers
+# "feasible", which is sound: the filter then skips nothing.
 PARITY_EFFORT_CAP = 20_000
 
 
@@ -116,13 +118,6 @@ def palette_index(
     raise AssertionError("no palette count up to n was feasible")
 
 
-class _EffortExceeded(Exception):
-    pass
-
-
-_effort_left = [0]
-
-
 @lru_cache(maxsize=1 << 14)
 def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
     """A necessary condition for a proper coloring with at most t palettes
@@ -133,77 +128,51 @@ def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
     color, so every color lies in the palettes of an even number of
     vertices; only the parity of each class's size matters.  A degree d
     with n_d vertices has some o_d = n_d (mod 2) odd classes and needs
-    max(o_d, 1) palettes; isolated vertices share the empty one.  The odd
-    classes must then fit ``_odd_cover`` with k colors.  Palettes need not
-    be distinct, so this only relaxes the search's condition.  Past
-    ``PARITY_EFFORT_CAP`` expanded states it answers True, which is sound.
+    max(o_d, 1) palettes; isolated vertices share the empty one.  For some
+    choice of the o_d within t palettes, a 0/1 matrix must then have the
+    odd classes' degrees as row sums and k columns of even sums.  By Gale
+    and Ryser (1957), column sums c admit one exactly when, for every i,
+    the i largest rows sum to at most sum_j min(c_j, i) (``_odd_cover``).
+    Palettes need not be distinct, so this only relaxes the search's
+    condition.  After ``PARITY_EFFORT_CAP`` choices of the o_d it answers
+    True, which is sound.
     """
     if degrees[-1] > k:
         return False
-    counts = sorted(Counter(degrees).items(), reverse=True)
-    budget = t
-    if counts[-1][0] == 0:
-        budget -= 1
-        counts.pop()
-    _effort_left[0] = PARITY_EFFORT_CAP
-    try:
-        return any(_odd_cover(rows, min(k, sum(rows) // 2))
-                   for rows in _odd_rows(counts, budget))
-    except _EffortExceeded:
-        return True
-
-
-def _spend() -> None:
-    _effort_left[0] -= 1
-    if _effort_left[0] < 0:
-        raise _EffortExceeded
-
-
-def _odd_rows(counts: list[tuple[int, int]], budget: int):
-    """Degrees of the odd classes, descending, for every choice of o_d
-    whose palettes fit ``budget``; ``counts`` is (d, n_d) by descending d."""
-    if not counts:
-        yield ()
-        return
-    (d, n_d), rest = counts[0], counts[1:]
-    for o in range(n_d % 2, n_d + 1, 2):
-        if max(o, 1) + len(rest) > budget:
-            return
-        for tail in _odd_rows(rest, budget - max(o, 1)):
-            _spend()
-            yield (d,) * o + tail
-
-
-@lru_cache(maxsize=1 << 14)
-def _odd_cover(rows: tuple[int, ...], cols: int) -> bool:
-    """Whether rows with demands ``rows`` (descending, positive) fit a 0/1
-    matrix of ``cols`` columns in which every column holds an even number of
-    rows and row i lies in rows[i] columns.
-
-    Some column holds the first row, so it is tried first with every odd
-    choice of partners; rows of equal demand are interchangeable.
-    ``cols`` is at most sum(rows) // 2, as a column serves two demands.
-    """
-    if not rows:
-        return True
-    total = sum(rows)
-    if total % 2 or rows[0] > cols or total > cols * (len(rows) & ~1):
-        return False
-    _spend()
-    head, rest = rows[0] - 1, Counter(rows[1:])
-    values = sorted(rest, reverse=True)
-    for picks in product(*(range(rest[v], -1, -1) for v in values)):
-        if sum(picks) % 2 == 0:
+    budget = t - (degrees[0] == 0)
+    counts = sorted(Counter(d for d in degrees if d).items(), reverse=True)
+    # Every other degree needs at least one palette.
+    top = budget - (len(counts) - 1)
+    choices = product(*(range(n_d % 2, min(n_d, top) + 1, 2) for _, n_d in counts))
+    for tried, odd in enumerate(choices):
+        if tried >= PARITY_EFFORT_CAP:
+            return True
+        if sum(max(o, 1) for o in odd) > budget:
             continue
-        left = [head] if head else []
-        for v, p in zip(values, picks):
-            left += [v] * (rest[v] - p)
-            if v > 1:
-                left += [v - 1] * p
-        left.sort(reverse=True)
-        if _odd_cover(tuple(left), min(cols - 1, sum(left) // 2)):
+        rows = [d for (d, _), o in zip(counts, odd) for _ in range(o)]
+        if not rows or _odd_cover(rows, k):
             return True
     return False
+
+
+def _odd_cover(rows: list[int], cols: int) -> bool:
+    """Whether a 0/1 matrix with row sums ``rows`` (non-empty, descending)
+    and ``cols`` >= 1 columns can have every column sum even.
+
+    Each Gale-Ryser bound sum_j min(c_j, i) is concave in every c_j, so the
+    most equal even column sums, each 2q or 2q + 2, make all of them largest
+    at once; only that vector is tested.
+    """
+    total = sum(rows)
+    if total % 2:
+        return False
+    q, wide = divmod(total // 2, cols)
+    need = 0
+    for i, r in enumerate(rows, 1):
+        need += r
+        if need > wide * min(2 * q + 2, i) + (cols - wide) * min(2 * q, i):
+            return False
+    return True
 
 
 def palette_index_oracle(graph: MultiGraph) -> int:

@@ -8,7 +8,7 @@ changing its palette count).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from palette_kit import Hypergraph, MultiGraph
 
@@ -124,6 +124,18 @@ def bf_min_palettes_with_colors(graph: MultiGraph, k: int) -> int | None:
         if best is None or count < best:
             best = count
     return best
+
+
+def bf_odd_cover(rows, cols: int) -> bool:
+    """Whether ``cols`` row subsets of even size, repeats allowed, hold row
+    i exactly rows[i] times: the columns of a 0/1 matrix with row sums
+    ``rows`` and even column sums."""
+    even = [s for size in range(0, len(rows) + 1, 2)
+            for s in combinations(range(len(rows)), size)]
+    return any(
+        all(sum(i in s for s in columns) == r for i, r in enumerate(rows))
+        for columns in combinations_with_replacement(even, cols)
+    )
 
 
 def bf_valid_decomposition2_exists(graph: MultiGraph) -> bool:

@@ -213,6 +213,20 @@ def test_closed_stdout_exits_quietly(tmp_path, mixed_file, command):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_is_one_error_line(mixed_file):
+    # Like `palette-kit palette-index FILE > /dev/full`: every write fails.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from palette_kit.cli import main; main()",
+             "palette-index", mixed_file],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_corpus_report_is_identical_across_jobs(mixed_file, fmt):
     code1, out1 = run_cli(["corpus", "--format", fmt, "--jobs", "1", mixed_file])
@@ -509,13 +523,15 @@ def test_verify_rejects_tampered_and_malformed_certificates(tmp_path):
     assert report["ok"] is False
     assert [name for name, passed, _ in report["clauses"] if not passed] == [
         "h3-regular", "h3-class1", "h2-vertices", "h3-vertices"]
-    cert_file.write_text('{"A": [[0]], "H0": null}')
-    code, out = run_cli(["verify", path, "--certificate", str(cert_file)])
-    assert code == 2
-    assert json.loads(out) == {
-        "ok": False,
-        "clauses": [["certificate-malformed", False, '"A" must be a list of three vertex lists']],
-    }
+    for text, reason in [
+        ('{"A": [[0]], "H0": null}', '"A" must be a list of three vertex lists'),
+        ('{"A": [[[0]], [], []]}', '"A" must be a list of three vertex lists'),
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ]:
+        cert_file.write_text(text)
+        code, out = run_cli(["verify", path, "--certificate", str(cert_file)])
+        assert code == 2
+        assert json.loads(out) == {"ok": False, "clauses": [["certificate-malformed", False, reason]]}
 
 
 @pytest.mark.parametrize(

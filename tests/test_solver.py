@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palette_kit import (
@@ -27,6 +28,7 @@ from palette_kit.solver import _parity_ok, _search
 from bruteforce import (
     bf_min_palettes,
     bf_min_palettes_with_colors,
+    bf_odd_cover,
     pairwise_intersecting,
     palette_count,
     proper_colorings,
@@ -249,6 +251,7 @@ def test_k_min_is_the_least_feasible_budget(g):
 
 @settings(max_examples=150, deadline=None)
 @given(multigraphs(max_n=6, max_m=5))
+@example(MultiGraph.from_pairs(2, []))  # k = 0 and no odd classes
 def test_parity_filter_accepts_every_feasible_pair(g):
     # The filter may only skip searches that fail: whenever some proper
     # coloring with colors in 1..k has at most t palettes, it must accept.
@@ -259,6 +262,15 @@ def test_parity_filter_accepts_every_feasible_pair(g):
         for t in range(1, g.n + 1):
             if best is not None and best <= t:
                 assert _parity_ok(degrees, t, k)
+
+
+def test_odd_cover_is_exact():
+    # Exact, not merely sound: a wrong False would skip a search that
+    # succeeds, and a wrong True would run one the filter should skip.
+    for length in range(1, 6):
+        for rows in combinations_with_replacement(range(4, 0, -1), length):
+            for cols in range(1, 5):
+                assert solver._odd_cover(list(rows), cols) == bf_odd_cover(rows, cols), (rows, cols)
 
 
 def test_parity_filter_examples():
