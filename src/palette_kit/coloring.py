@@ -105,6 +105,11 @@ def _search(
     """Find a proper coloring with <= t distinct palettes and colors from
     {1..k_budget}, exploring canonical colorings (fresh colors in order).
 
+    A budget below the maximum degree admits no proper coloring, so it fails
+    up front.  From the maximum degree up, a vertex with j colored edges has
+    k_budget - j >= its uncolored edges free colors, so the loop over colors
+    needs no budget test.
+
     Palettes of completed vertices are final, so their distinct count is a
     lower bound on the final palette count; once it reaches t, every
     incomplete vertex must extend into one of the completed palettes.  At
@@ -117,12 +122,17 @@ def _search(
     Both rules are checked incrementally: a sweep of every open vertex when
     the set of completed palettes changes, otherwise only the edge's two
     ends, with the lookahead's (d, union of masks) passed down the recursion.
+    Completed palettes are indexed by size, which is their vertices' degree,
+    so the fit test scans only the palettes an open vertex could end with.
     """
     n = graph.n
     deg = graph.degrees
+    if k_budget < max(deg, default=0):
+        return None
     masks = [0] * n
     rem = list(deg)
     completed: dict[int, int] = {}  # palette bitmask -> vertex multiplicity
+    sized: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     isolated = sum(1 for d in deg if d == 0)
     if isolated:
         completed[0] = isolated
@@ -130,12 +140,6 @@ def _search(
             return None
     m = len(order)
     assignment: dict[int, int] = {}
-
-    def fits_completed(mask: int, degree: int) -> bool:
-        for p in completed:
-            if mask & ~p == 0 and p.bit_count() == degree:
-                return True
-        return False
 
     def rec(i: int, maxused: int, d: int, union: int) -> bool:
         if i == m:
@@ -145,23 +149,27 @@ def _search(
         ru, rv = rem[u] - 1, rem[v] - 1
         rem[u], rem[v] = ru, rv
         closes = ru == 0 or rv == 0
-        taken = mu0 | mv0
-        for c in range(1, min(maxused + 1, k_budget) + 1):
-            bit = 1 << (c - 1)
-            if taken & bit:
-                continue
+        # Each branch restores the completed palettes before the next color.
+        before = len(completed)
+        # The colors 1..min(maxused + 1, k_budget) free at both ends, lowest
+        # first.  Conditional expressions stand in for min and max: builtin
+        # calls at every node cost about a tenth of the search's time.
+        top = maxused + 1 if maxused < k_budget else k_budget
+        free = ~(mu0 | mv0) & ((1 << top) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length()
             mu = mu0 | bit
             mv = mv0 | bit
-            if k_budget - mu.bit_count() < ru or k_budget - mv.bit_count() < rv:
-                continue
             masks[u], masks[v] = mu, mv
             # Entries of deeper edges left by failed branches are overwritten
             # before any success reads them.
             assignment[eid] = c
-            added: list[int] = []
-            before = len(completed)
             ok = True
+            count = before
             if closes:
+                added: list[int] = []
                 for x, mx in ((u, mu), (v, mv)):
                     if rem[x] == 0:
                         cnt = completed.get(mx)
@@ -170,11 +178,12 @@ def _search(
                                 ok = False
                                 break
                             completed[mx] = 1
+                            sized[deg[x]].append(mx)
                         else:
                             completed[mx] = cnt + 1
                         added.append(mx)
+                count = len(completed)
             nd, nunion = d, union
-            count = len(completed)
             if ok and count >= t - 1:
                 # Open vertices that fit no completed palette must all end
                 # with the one palette left, or there is none left for them.
@@ -184,21 +193,28 @@ def _search(
                 else:
                     xs = (u, v)
                 for x in xs:
-                    if rem[x] and not fits_completed(masks[x], deg[x]):
-                        if last or (nd and deg[x] != nd):
-                            ok = False
-                            break
-                        nd = deg[x]
-                        nunion |= masks[x]
+                    if rem[x]:
+                        mx, dx = masks[x], deg[x]
+                        for p in sized[dx]:
+                            if mx & p == mx:
+                                break
+                        else:
+                            if last or (nd and dx != nd):
+                                ok = False
+                                break
+                            nd = dx
+                            nunion |= mx
                 if nunion.bit_count() > nd:
                     ok = False
-            if ok and rec(i + 1, max(maxused, c), nd, nunion):
+            if ok and rec(i + 1, c if c > maxused else maxused, nd, nunion):
                 return True
-            for mx in added:
-                if completed[mx] == 1:
-                    del completed[mx]
-                else:
-                    completed[mx] -= 1
+            if closes:
+                for mx in reversed(added):
+                    if completed[mx] == 1:
+                        del completed[mx]
+                        sized[mx.bit_count()].pop()
+                    else:
+                        completed[mx] -= 1
         masks[u], masks[v] = mu0, mv0
         rem[u], rem[v] = ru + 1, rv + 1
         return False

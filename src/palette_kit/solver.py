@@ -11,14 +11,17 @@ the full budget t * Delta decides each target t.  Only at the winning t is
 the number of colors then minimized, which is exactly the minimality notion
 for witnesses: a canonical coloring uses exactly the colors 1..max, so each
 success bounds k_min by its largest color, and the budget descends from
-there until a search fails or it reaches chi'.  The kernel also prunes when
-one palette is left: every open vertex that fits no completed palette must
-end with that palette, so those vertices share one degree d and at most d
-colors.  A parity filter skips searches before they start: each color class
-is a matching, so every color lies in the palettes of an even number of
-vertices.  Grouping the vertices by palette, the classes of odd size must
-then be coverable by at most k colors, each color in an even number of them
-and a class of degree d in d colors.  That is a 0/1 matrix with the classes'
+there until a search fails or it reaches chi'.  The descent's last success
+is the lex-first coloring at k_min in search order; when edge ids follow
+endpoint order, as the graph6 and sparse6 decoders number them, it is the
+witness, and only other edge-id orders search once more.  The kernel also
+prunes when one palette is left: every open vertex that fits no completed
+palette must end with that palette, so those vertices share one degree d
+and at most d colors.  A parity filter skips searches before they start:
+each color class is a matching, so every color lies in the palettes of an
+even number of vertices.  Grouping the vertices by palette, the classes of
+odd size must then be coverable by at most k colors, each color in an even
+number of them and a class of degree d in d colors.  That is a 0/1 matrix with the classes'
 degrees as row sums and k columns of even sums, which the Gale-Ryser
 criterion decides in one pass (``_parity_ok``).  All four arguments
 are elementary; no result of the paper is used to prune the search, so the
@@ -81,6 +84,13 @@ def palette_index(
     distinct palettes, uses k_min colors, and is the lexicographically
     smallest assignment vector in edge-id order among those witnesses.
 
+    ``_search`` returns the first coloring in its order, and the colorings
+    at budget k are among those at any larger budget.  So the descent's last
+    success, whose largest color is k, is already the first coloring at
+    budget k in search order.  When the search order, sorted by endpoints,
+    is the edge-id order, as on every graph6 and sparse6 input, that success
+    is the witness; otherwise one more search in edge-id order finds it.
+
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
     the descent stops at the least budget it accepts.  It only skips
@@ -99,22 +109,25 @@ def palette_index(
         budget = t * delta
         if budget < chi or not _parity_ok(degrees, t, budget):
             continue
-        found = _search(graph, t, budget, fast_order)
-        if found is None:
+        best = _search(graph, t, budget, fast_order)
+        if best is None:
             continue
         # A canonical coloring uses exactly the colors 1..max, so each
         # success bounds k_min by its largest color.
-        k = max(found.values())
+        k = max(best.values())
         # The least budget from chi' up that the filter accepts; k passes it.
         k_lo = next((j for j in range(chi, k) if _parity_ok(degrees, t, j)), k)
         while k > k_lo:
             found = _search(graph, t, k - 1, fast_order)
             if found is None:
                 break
-            k = max(found.values())
-        witness = _search(graph, t, k, tuple(sorted(graph.edges)))
-        assert witness is not None
-        return PaletteIndexResult(t, EdgeColoring(graph, witness), k, chi)
+            best, k = found, max(found.values())
+        # The last success is the first coloring in search order at budget k.
+        id_order = tuple(sorted(graph.edges))
+        if fast_order != id_order:
+            best = _search(graph, t, k, id_order)
+            assert best is not None
+        return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi)
     raise AssertionError("no palette count up to n was feasible")
 
 

@@ -343,6 +343,19 @@ def test_corpus_on_quartic9_matches_its_digest():
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("census", ["cubic12", "quartic10"])
+def test_palette_index_on_even_regular_census_matches_its_digest(census):
+    # s, k_min and the witness of every graph are pinned byte for byte; these
+    # censuses hold t = 2 proofs of even-order Class 2 regular graphs, which
+    # the atlas (at most 7 vertices) never reaches.  CI checks the same
+    # digests through the entry point.
+    with open(os.path.join(ROOT, "tests", "data", f"{census}_palette_index.sha256")) as fh:
+        expected = fh.read().split()[0]
+    code, out = run_cli(["palette-index", os.path.join(ROOT, "bench", "fixtures", f"{census}.g6")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def prism(n: int) -> MultiGraph:
     """C_n x K2: cubic, and bipartite for even n."""
     ring = [(i, (i + 1) % n) for i in range(n)]

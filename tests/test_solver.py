@@ -236,6 +236,26 @@ def test_search_finds_the_lex_first_coloring(g):
             assert (_search(g, t, k, _search_order(g)) is None) == (expected is None)
 
 
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_n=6, max_m=6))
+# The descent succeeds at k = 3 below the first success's largest color 4.
+@example(MultiGraph.from_pairs(5, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 4)]))
+def test_witness_is_the_lex_first_coloring_at_k_min(g):
+    # Drawn ids follow draw order, which mostly differs from endpoint order,
+    # so palette_index searches once more in edge-id order; renumbered in
+    # endpoint order, it reuses the descent's last success.  Both must give the lex-first proper coloring in edge-id
+    # order with at most s_check palettes and colors up to k_min.
+    renumbered = MultiGraph.from_pairs(g.n, sorted((u, v) for _, u, v in g.edges))
+    for graph in (g, renumbered):
+        result = palette_index(graph)
+        expected = next(
+            combo for combo in proper_colorings(graph, result.k_min)
+            if palette_count(graph, combo) <= result.s_check
+        )
+        ids = [eid for eid, _, _ in graph.edges]
+        assert result.coloring.colors == dict(zip(ids, expected))
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_n=6, max_m=9, min_m=1))
 def test_k_min_is_the_least_feasible_budget(g):
@@ -301,7 +321,9 @@ def test_parity_filter_answers_feasible_past_its_cap(monkeypatch):
 
 def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
     # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
-    # full-budget search at t = 3 and the id-order witness search (4 before).
+    # full-budget search at t = 3 (4 searches before the filter).  graph6
+    # numbers edges in endpoint order, so that search's success at k = 8 is
+    # the witness and no id-order search runs.
     calls = []
 
     def counted(graph, t, k, order):
@@ -311,7 +333,7 @@ def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
     monkeypatch.setattr(solver, "_search", counted)
     graph, expected = PINNED_PALETTE_INDEX[-1]
     assert palette_index(graph).to_json() == expected
-    assert calls == [(3, 18), (3, 8)]
+    assert calls == [(3, 18)]
 
 
 PINNED_PALETTE_INDEX = [
