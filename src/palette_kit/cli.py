@@ -54,8 +54,6 @@ from .solver import (
     palette_index,
 )
 
-ENV_MAX_EDGES = "PALETTE_KIT_MAX_EDGES"
-
 CHECK_NAMES = (
     "lemma-not2",
     "thm-cubic",
@@ -68,16 +66,6 @@ CHECK_NAMES = (
 CSV_HEADER = (
     "index,input,n,m,max_degree,min_degree,chi_prime,class,s_check,k_min"
 )
-
-
-def _default_cap() -> int:
-    env = os.environ.get(ENV_MAX_EDGES)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedInput(f"{ENV_MAX_EDGES} must be an integer, got {env!r}")
-    return PALETTE_INDEX_EDGE_CAP
 
 
 def _check_lemma_not2(graph, ctx):
@@ -310,7 +298,7 @@ def cmd_chromatic_index(args, out) -> int:
         payload = {
             "chi_prime": res.chi_prime,
             "class": 1 if res.chi_prime == max(graph.degrees, default=0) else 2,
-            "colors": json.loads(res.witness.to_json())["colors"],
+            "colors": [res.witness.colors[eid] for eid in sorted(graph.edge_ids)],
         }
         _emit(out, json.dumps(payload))
     return 0
@@ -431,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-edges",
             type=int,
-            default=None,
-            help=f"search cap (default {PALETTE_INDEX_EDGE_CAP}; env {ENV_MAX_EDGES})",
+            default=PALETTE_INDEX_EDGE_CAP,
+            help=f"search cap (default {PALETTE_INDEX_EDGE_CAP})",
         )
         p.set_defaults(run=fn)
         return p
@@ -462,11 +450,8 @@ def cli_main(argv: list[str] | None = None, out: io.TextIOBase | None = None) ->
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.max_edges is None:
-            args.max_edges = _default_cap()
         if args.max_edges < 0:
-            raise MalformedInput(
-                f"--max-edges and {ENV_MAX_EDGES} must be nonnegative, got {args.max_edges}")
+            raise MalformedInput(f"--max-edges must be nonnegative, got {args.max_edges}")
         return args.run(args, out)
     except MalformedInput as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -1,10 +1,14 @@
 """Decompositions into Class 1 regular subgraphs: extraction from minimal
 colorings, synthesis of colorings from certificates, and verification.
 
-A two-palette minimal coloring has nested palettes; the smaller one spans a
-regular Class 1 subgraph and the leftover colors span another.  With at most
-three palettes the color set splits into Venn regions of the palettes, and
-the subgraphs induced by those regions form the certificate.
+Extraction groups the colors of a minimal coloring by the palettes that hold
+them, that is by the hyperedges of the associated hypergraph
+(``hypergraphs.hyperedges_of``).  The A-sets are the vertex classes of the
+palettes.  Every color of a hyperedge is a perfect matching of the union of
+its A-sets, so the colors of one hyperedge span a regular Class 1 part.
+Minimality makes the hyperedges pairwise intersecting, which leaves five
+possible hyperedges over three A-sets and so at most four parts.  With two
+palettes the certificate is the H0 and H1 of the three-set one.
 
 A certificate flows ``palette_index`` → ``extract_decomposition_*`` →
 ``verify_decomposition_*`` → ``synthesize_coloring_*(graph, dec, report)``.
@@ -20,9 +24,16 @@ certificate has one verdict, its ``ClauseReport``.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, chromatic_index, is_class1_regular, palettes_of
+from .coloring import (
+    EdgeColoring,
+    PaletteSystem,
+    chromatic_index,
+    is_class1_regular,
+    palettes_of,
+)
 from .errors import (
     InvalidCertificate,
     MalformedInput,
@@ -33,6 +44,7 @@ from .errors import (
     NotTwoPalettes,
     TooManyPalettes,
 )
+from .hypergraphs import hyperedges_of
 from .multigraph import (
     EdgeSubset,
     MultiGraph,
@@ -201,33 +213,73 @@ def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseRepo
     return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
 
 
-def _edges_with_colors(coloring: EdgeColoring, colors: frozenset[int]) -> EdgeSubset:
-    members = frozenset(
-        eid for eid, c in coloring.colors.items() if c in colors
+# The part, and the shape flag it sets, of each hyperedge (0-based A-set
+# indices) of a minimal coloring: A1A2A3 -> H0, A2A3 -> H1, A1A3 -> H2, and
+# H3 from A1A2 or from A3 alone.  The singletons A1 and A2 cannot occur.
+_PART_OF_HYPEREDGE = {
+    frozenset({0, 1, 2}): (0, None),
+    frozenset({1, 2}): (1, None),
+    frozenset({0, 2}): (2, None),
+    frozenset({0, 1}): (3, SHAPE_A1A2),
+    frozenset({2}): (3, SHAPE_A3),
+}
+
+
+def _read_certificate(coloring: EdgeColoring, system: PaletteSystem) -> Decomposition3:
+    """The certificate of a coloring with at most three palettes.
+
+    Two disjoint hyperedges raise NonMinimalColoring, so at most one
+    palette holds a color that no other palette holds; it goes last.
+    Padding with empty A-sets up to three, each holding every color
+    vacuously, makes a one- or two-palette coloring read like a
+    three-palette one.
+    """
+    holders = hyperedges_of(system)
+    hyperedges = set(holders.values())
+    if any(not x & y for x, y in combinations(hyperedges, 2)):
+        raise NonMinimalColoring(
+            "two colors share no palette (the associated hypergraph is not "
+            "pairwise intersecting); run reduce_colors first"
+        )
+    private = [i for e in hyperedges if len(e) == 1 for i in e]
+    order = [i for i in range(len(system)) if i not in private] + private
+    position = {i: j for j, i in enumerate(order)}
+    padding = frozenset(range(len(system), 3))
+    part_of: dict[int, int] = {}
+    shape = None
+    for color, members in holders.items():
+        part, part_shape = _PART_OF_HYPEREDGE[
+            frozenset(position[i] for i in members) | padding
+        ]
+        part_of[color] = part
+        shape = part_shape or shape
+    edges: list[set[int]] = [set(), set(), set(), set()]
+    for eid, color in coloring.colors.items():
+        edges[part_of[color]].add(eid)
+    h0, h1, h2, h3 = (
+        EdgeSubset(coloring.graph, frozenset(s)) if s else None for s in edges
     )
-    return EdgeSubset(coloring.graph, members)
+    classes = system.classes()
+    partition = VertexPartition(
+        tuple(classes[i] for i in order) + (frozenset(),) * len(padding)
+    )
+    return Decomposition3(h0, h1, h2, h3, partition, shape)
 
 
 def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
     """Read the two-palette decomposition off a minimal coloring.
 
-    Requires exactly two distinct palettes, nested (equivalently: the
-    associated hypergraph is pairwise intersecting); otherwise the coloring
-    is not minimal and reduce_colors should be applied first.  The result is
-    not verified; callers run ``verify_decomposition_2``.
+    Requires exactly two distinct palettes whose associated hypergraph is
+    pairwise intersecting (equivalently: nested palettes); otherwise the
+    coloring is not minimal and reduce_colors should be applied first.  H0
+    holds the colors of both palettes, H1 those of the larger one only.  The
+    result is not verified; callers run ``verify_decomposition_2``.
     """
     system = palettes_of(coloring)
     if len(system) != 2:
         raise NotTwoPalettes(f"coloring induces {len(system)} palettes, need 2")
-    small, big = sorted(system.palettes, key=len)
-    if not small < big:
-        raise NonMinimalColoring(
-            "palettes are not nested (the associated hypergraph is not pairwise "
-            "intersecting); run reduce_colors first"
-        )
-    h0 = _edges_with_colors(coloring, small) if small else None
-    h1 = _edges_with_colors(coloring, big - small)
-    return Decomposition2(h0, h1)
+    dec = _read_certificate(coloring, system)
+    return Decomposition2(dec.h0, dec.h1)
 
 
 def synthesize_coloring_2(
@@ -250,79 +302,18 @@ def synthesize_coloring_2(
     return coloring
 
 
-def _venn_regions(palettes: list[frozenset[int]]):
-    p0, p1, p2 = palettes
-    triple = p0 & p1 & p2
-    private = [p0 - (p1 | p2), p1 - (p0 | p2), p2 - (p0 | p1)]
-    pairwise = [(p1 & p2) - p0, (p0 & p2) - p1, (p0 & p1) - p2]
-    return triple, private, pairwise
-
-
 def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
     """Read the at-most-three-palette decomposition off a minimal coloring.
 
-    The A-sets are the vertex classes of the palettes.  With three palettes
-    the color regions of the palette Venn diagram must be compatible with
-    minimality: at most one private region is nonempty, and a private region
-    excludes the complementary pairwise region.  The result is not verified;
-    callers run ``verify_decomposition_3``.
+    The A-sets are the vertex classes of the palettes, padded with empty
+    ones to three.  A coloring whose associated hypergraph is not pairwise
+    intersecting raises NonMinimalColoring; run reduce_colors first.  The
+    result is not verified; callers run ``verify_decomposition_3``.
     """
-    graph = coloring.graph
     system = palettes_of(coloring)
-    t = len(system)
-    if t > 3:
-        raise TooManyPalettes(f"coloring induces {t} palettes, need at most 3")
-    empty = frozenset()
-
-    if t <= 1:
-        everything = (
-            EdgeSubset(graph, frozenset(graph.edge_ids)) if graph.m else None
-        )
-        partition = VertexPartition((frozenset(range(graph.n)), empty, empty))
-        dec = Decomposition3(everything, None, None, None, partition, None)
-    elif t == 2:
-        two = extract_decomposition_2(coloring)
-        small_index = min(
-            range(2), key=lambda i: (len(system.palettes[i]), sorted(system.palettes[i]))
-        )
-        classes = system.classes()
-        a1 = classes[small_index]
-        a2 = classes[1 - small_index]
-        partition = VertexPartition((a1, a2, empty))
-        dec = Decomposition3(two.h0, two.h1, None, None, partition, None)
-    else:
-        palettes = list(system.palettes)
-        classes = list(system.classes())
-        triple, private, pairwise = _venn_regions(palettes)
-        nonempty_private = [k for k in range(3) if private[k]]
-        if len(nonempty_private) > 1:
-            raise NonMinimalColoring(
-                "two private color regions are nonempty; run reduce_colors first"
-            )
-        if nonempty_private:
-            k = nonempty_private[0]
-            if pairwise[k]:
-                raise NonMinimalColoring(
-                    "a private region and its complementary pairwise region are "
-                    "both nonempty; run reduce_colors first"
-                )
-            order = [i for i in range(3) if i != k] + [k]
-            palettes = [palettes[i] for i in order]
-            classes = [classes[i] for i in order]
-            triple, private, pairwise = _venn_regions(palettes)
-            h3 = _edges_with_colors(coloring, private[2])
-            shape = SHAPE_A3
-        else:
-            h3 = (
-                _edges_with_colors(coloring, pairwise[2]) if pairwise[2] else None
-            )
-            shape = SHAPE_A1A2 if h3 is not None else None
-        h0 = _edges_with_colors(coloring, triple) if triple else None
-        h1 = _edges_with_colors(coloring, pairwise[0]) if pairwise[0] else None
-        h2 = _edges_with_colors(coloring, pairwise[1]) if pairwise[1] else None
-        partition = VertexPartition(tuple(classes))
-        dec = Decomposition3(h0, h1, h2, h3, partition, shape)
-    return dec
+    if len(system) > 3:
+        raise TooManyPalettes(f"coloring induces {len(system)} palettes, need at most 3")
+    return _read_certificate(coloring, system)
 
 
 def synthesize_coloring_3(

@@ -36,8 +36,9 @@ class TooManyPalettes(PaletteKitError):
 
 
 class NonMinimalColoring(PaletteKitError):
-    """The coloring violates a structural consequence of minimality
-    (mergeable color pair, non-nested palettes, or bad Venn regions)."""
+    """Two colors share no palette (the associated hypergraph is not
+    pairwise intersecting), so merging them would give a coloring with no
+    more palettes; a minimal coloring has no such pair."""
 
 
 class InvalidCertificate(PaletteKitError):

@@ -3,13 +3,20 @@
 The associated hypergraph has one vertex per distinct palette and one
 hyperedge per used color collecting the palettes containing it.  Loops
 (size-1 hyperedges) and parallel hyperedges are permitted.
+
+``hyperedges_of`` is the one place that decides which palettes hold each
+color.  ``associated_hypergraph`` wraps its map in a validated
+``Hypergraph``; the decomposition extractions and ``reduce_colors`` read
+the map directly.  A coloring is minimal in the paper's sense when its
+hyperedges pairwise intersect: two colors that no palette holds together
+could be merged into one.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coloring import EdgeColoring, palettes_of
+from .coloring import EdgeColoring, PaletteSystem, palettes_of
 from .errors import MalformedInput
 from .multigraph import FrozenValue
 
@@ -73,12 +80,16 @@ class Hypergraph(FrozenValue):
         return "\n".join(lines)
 
 
+def hyperedges_of(system: PaletteSystem) -> dict[int, frozenset[int]]:
+    """Map each used color, in increasing order, to the indices (into
+    ``system.palettes``) of the palettes that hold it."""
+    holders: dict[int, set[int]] = {}
+    for i, palette in enumerate(system.palettes):
+        for color in palette:
+            holders.setdefault(color, set()).add(i)
+    return {color: frozenset(holders[color]) for color in sorted(holders)}
+
+
 def associated_hypergraph(coloring: EdgeColoring) -> Hypergraph:
     system = palettes_of(coloring)
-    vertices = system.palettes
-    index = {p: i for i, p in enumerate(vertices)}
-    hyperedges = []
-    for color in sorted(coloring.colorset):
-        members = frozenset(index[p] for p in vertices if color in p)
-        hyperedges.append((color, members))
-    return Hypergraph(vertices, tuple(hyperedges))
+    return Hypergraph(system.palettes, tuple(hyperedges_of(system).items()))

@@ -39,11 +39,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, _search, _search_order, chromatic_index
+from .coloring import EdgeColoring, _search, _search_order, chromatic_index, palettes_of
 from .errors import ResourceLimit
+from .hypergraphs import hyperedges_of
 from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
 
 PALETTE_INDEX_EDGE_CAP = 30
@@ -261,32 +262,26 @@ def palette_index_oracle(graph: MultiGraph) -> int:
 
 
 def reduce_colors(coloring: EdgeColoring) -> EdgeColoring:
-    """Merge color pairs that no palette contains together, to a fixed point.
+    """Merge the first two colors that no palette holds together (two
+    disjoint hyperedges of the associated hypergraph), to a fixed point.
 
-    Two such color classes form a 1-regular subgraph, so recoloring one with
-    the other stays proper and never increases the palette count.  The
+    Two such color classes form a 1-regular subgraph, so recoloring the
+    larger color with the smaller stays proper and never increases the
+    palette count.  The merged color is held by exactly the palettes that
+    held either, so a merge updates the color -> palettes map in place.  The
     output's associated hypergraph is pairwise intersecting.
     """
-    graph = coloring.graph
-    colors = dict(coloring.colors)
+    holders = hyperedges_of(palettes_of(coloring))
+    target = {c: c for c in holders}
     while True:
-        palettes = {frozenset(colors[eid] for eid, _ in graph.incidence[v])
-                    for v in range(graph.n)}
-        used = sorted(set(colors.values()))
-        merged = False
-        for i, a in enumerate(used):
-            for b in used[i + 1:]:
-                if any(a in p and b in p for p in palettes):
-                    continue
-                for eid, c in colors.items():
-                    if c == b:
-                        colors[eid] = a
-                merged = True
+        for a, b in combinations(holders, 2):
+            if not holders[a] & holders[b]:
                 break
-            if merged:
-                break
-        if not merged:
-            return EdgeColoring(graph, colors)
+        else:
+            colors = {eid: target[c] for eid, c in coloring.colors.items()}
+            return EdgeColoring(coloring.graph, colors)
+        holders[a] |= holders.pop(b)
+        target = {c: a if t == b else t for c, t in target.items()}
 
 
 class LowerBoundCheck(NamedTuple):

@@ -156,6 +156,21 @@ def bf_valid_decomposition2_exists(graph: MultiGraph) -> bool:
     return False
 
 
+def bf_associated_hypergraph(coloring) -> Hypergraph:
+    """The associated hypergraph read straight off the vertex palettes:
+    palettes in sorted-list order, one hyperedge per used color."""
+    graph = coloring.graph
+    palettes = sorted(
+        {frozenset(coloring.colors[eid] for eid, _ in graph.incidence[v])
+         for v in range(graph.n)},
+        key=sorted,
+    )
+    return Hypergraph(tuple(palettes), tuple(
+        (c, frozenset(i for i, p in enumerate(palettes) if c in p))
+        for c in sorted(set(coloring.colors.values()))
+    ))
+
+
 def pairwise_intersecting(hypergraph: Hypergraph) -> bool:
     """Whether every two hyperedges share a vertex."""
     edges = hypergraph.hyperedges

@@ -244,19 +244,15 @@ def test_corpus_report_is_identical_across_jobs(mixed_file, fmt):
 
 
 @pytest.mark.parametrize(
-    "argv,env",
+    "argv",
     [
-        (["corpus", "--jobs", "0"], None),
-        (["corpus", "--jobs", "-3"], None),
-        (["corpus", "--max-edges", "-5"], None),
-        (["palette-index", "--max-edges", "-1"], None),
-        (["palette-index"], "-2"),
-        (["palette-index"], "many"),
+        ["corpus", "--jobs", "0"],
+        ["corpus", "--jobs", "-3"],
+        ["corpus", "--max-edges", "-5"],
+        ["palette-index", "--max-edges", "-1"],
     ],
 )
-def test_invalid_caps_and_jobs_are_rejected(monkeypatch, capsys, mixed_file, argv, env):
-    if env is not None:
-        monkeypatch.setenv(cli.ENV_MAX_EDGES, env)
+def test_invalid_caps_and_jobs_are_rejected(capsys, mixed_file, argv):
     code, out = run_cli(argv + [mixed_file])
     assert code == 1
     assert out == ""

@@ -30,6 +30,7 @@ from palette_kit import (
     is_regular,
     palette_index,
     palettes_of,
+    reduce_colors,
     regular_corollary_check,
     synthesize_coloring_2,
     synthesize_coloring_3,
@@ -38,8 +39,12 @@ from palette_kit import (
 )
 from palette_kit import families as fam
 
-from bruteforce import bf_valid_decomposition2_exists
-from conftest import random_simple_graph
+from bruteforce import (
+    bf_associated_hypergraph,
+    bf_valid_decomposition2_exists,
+    pairwise_intersecting,
+)
+from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
 
 def labels(graph, subset):
@@ -266,6 +271,31 @@ def test_extract3_rejects_mergeable_private_regions():
     coloring = EdgeColoring(g, {0: 1, 1: 2, 2: 3})
     with pytest.raises(NonMinimalColoring):
         extract_decomposition_3(coloring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    multigraphs(max_n=6, max_m=8),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2),
+)
+def test_extraction_refuses_exactly_the_non_minimal_colorings(g, r, spread):
+    # Minimal means a pairwise intersecting associated hypergraph, built here
+    # without the package's own color -> palettes map.
+    coloring = random_proper_coloring(r, g, spread=spread)
+    t = len(palettes_of(coloring))
+    assume(t <= 3)
+    minimal = pairwise_intersecting(bf_associated_hypergraph(coloring))
+    extractions = [extract_decomposition_3] + ([extract_decomposition_2] if t == 2 else [])
+    for extract in extractions:
+        try:
+            extract(coloring)
+        except NonMinimalColoring:
+            assert not minimal
+        else:
+            assert minimal
+    reduced = reduce_colors(coloring)
+    assert verify_decomposition_3(g, extract_decomposition_3(reduced)).ok
 
 
 def test_synthesize3_rejects_overlapping_parts():
