@@ -18,6 +18,7 @@ from . import __version__
 from .coloring import chromatic_index, palettes_of
 from .decomposition import (
     Decomposition3,
+    certify_3,
     classify_cubic,
     decomposition2_to_json,
     decomposition3_to_json,
@@ -26,7 +27,6 @@ from .decomposition import (
     extract_decomposition_3,
     regular_corollary_check,
     synthesize_coloring_2,
-    synthesize_coloring_3,
     verify_decomposition_2,
     verify_decomposition_3,
 )
@@ -90,9 +90,7 @@ def _check_thm_cubic(graph, ctx):
 
 def _check_thm_lower(graph, ctx):
     outcome = check_lower_bound_theorem(ctx["result"])
-    if not outcome.applicable:
-        return "pass", None
-    if outcome.satisfied:
+    if not outcome.applicable or outcome.satisfied:
         return "pass", None
     return "fail", {"s_check": ctx["result"].s_check, "min_degree": ctx["min_degree"]}
 
@@ -114,15 +112,20 @@ def _check_thm_s2(graph, ctx):
     return "fail", {"reason": "extraction succeeded although s_check != 2"}
 
 
+def _certificate(graph, ctx):
+    """The record's ``certify_3``, built once for thm-s3 and cor-regular3."""
+    if "certificate" not in ctx:
+        ctx["certificate"] = certify_3(graph, ctx["result"].coloring)
+    return ctx["certificate"]
+
+
 def _check_thm_s3(graph, ctx):
     result = ctx["result"]
     if result.s_check <= 3:
-        dec = extract_decomposition_3(result.coloring)
-        report = verify_decomposition_3(graph, dec)
+        # Synthesis, run by certify_3, asserts at most three palettes, one per A-set.
+        dec, report, _ = _certificate(graph, ctx)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
-        # Synthesis asserts at most three palettes, one per A-set.
-        synthesize_coloring_3(graph, dec, report)
         return "pass", None
     try:
         extract_decomposition_3(result.coloring)
@@ -134,13 +137,12 @@ def _check_thm_s3(graph, ctx):
 def _check_cor_regular3(graph, ctx):
     if ctx["regular"] is None:
         return "skip", None
-    checked = regular_corollary_check(ctx["result"])
-    if checked is None:
+    if ctx["result"].s_check != 3:
         return "pass", None
-    dec, report = checked
+    dec, report, synth = _certificate(graph, ctx)
+    report = regular_corollary_check(graph, dec, report)
     if not report.ok:
         return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
-    synth = synthesize_coloring_3(graph, dec, report)
     if len(palettes_of(synth)) != 3:
         return "fail", {"certificate": decomposition3_to_json(dec)}
     return "pass", None
@@ -313,8 +315,8 @@ def cmd_decompose(args, out) -> int:
         verify_decomposition_2(graph, dec).require_ok()
         _emit(out, decomposition2_to_json(dec))
     else:
-        dec = extract_decomposition_3(result.coloring)
-        verify_decomposition_3(graph, dec).require_ok()
+        dec, report, _ = certify_3(graph, result.coloring)
+        report.require_ok()
         _emit(out, decomposition3_to_json(dec))
     return 0
 
@@ -380,8 +382,8 @@ def cmd_fig4_witness(args, out) -> int:
         result = palette_index(graph, max_edges=args.max_edges)
         if result.s_check != 3:
             continue
-        dec, report = regular_corollary_check(result)
-        synth = synthesize_coloring_3(graph, dec, report)
+        dec, report, synth = certify_3(graph, result.coloring)
+        regular_corollary_check(graph, dec, report).require_ok()
         h0 = report.witnesses.get("H0")
         payload = {
             "found": True,

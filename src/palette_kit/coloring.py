@@ -9,7 +9,6 @@ n - 1 of them at most one vertex is open, whose colors always fit one palette.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ImproperColoring, MalformedInput
@@ -45,10 +44,6 @@ class EdgeColoring(FrozenValue):
                     )
                 seen.add(c)
         self.__dict__.update(graph=graph, colors=colors)
-
-    @cached_property
-    def colorset(self) -> frozenset[int]:
-        return frozenset(self.colors.values())
 
     def palette(self, v: int) -> frozenset[int]:
         return frozenset(self.colors[eid] for eid, _ in self.graph.incidence[v])

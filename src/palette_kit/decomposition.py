@@ -13,12 +13,13 @@ palettes the certificate is the H0 and H1 of the three-set one.
 A certificate flows ``palette_index`` → ``extract_decomposition_*`` →
 ``verify_decomposition_*`` → ``synthesize_coloring_*(graph, dec, report)``.
 Extraction only reads the minimal coloring and does not check what it
-returns.  Each caller verifies a certificate once, and verification runs χ′
-once on every part.  The report it returns carries each Class 1 part's
-edge-coloring, and synthesis builds from those witnesses without another
-search.  ``regular_corollary_check`` appends the corollary's clauses (shape,
-three parts, degree parity, equal degrees) to that same report, so every
-certificate has one verdict, its ``ClauseReport``.
+returns.  Verification runs χ′ once on every part, and the report it returns
+carries each Class 1 part's edge-coloring, from which synthesis builds
+without another search.  ``certify_3`` runs the three-set path once, and
+every caller that needs that certificate takes it from there.
+``regular_corollary_check(graph, dec, report)`` appends the corollary's
+clauses (shape, three parts, degree parity, equal degrees) to that same
+report, so every certificate has one verdict, its ``ClauseReport``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .multigraph import (
     is_connected,
     is_regular,
 )
-from .solver import PaletteIndexResult
 
 SHAPE_A3 = "A3"
 SHAPE_A1A2 = "A1A2"
@@ -340,28 +340,33 @@ def synthesize_coloring_3(
     return coloring
 
 
-def regular_corollary_check(
-    result: PaletteIndexResult,
-) -> tuple[Decomposition3, ClauseReport] | None:
-    """For a k-regular graph with palette index 3, the corollary certificate
-    and its report; None when s != 3.
+def certify_3(
+    graph: MultiGraph, coloring: EdgeColoring
+) -> tuple[Decomposition3, ClauseReport, EdgeColoring | None]:
+    """The certificate of a minimal coloring with at most three palettes,
+    its verification, and the coloring synthesized from it (None when the
+    report fails): the one path from a coloring to a checked certificate."""
+    dec = extract_decomposition_3(coloring)
+    report = verify_decomposition_3(graph, dec)
+    synth = synthesize_coloring_3(graph, dec, report) if report.ok else None
+    return dec, report, synth
 
-    The certificate is an optional r-regular spanning part H0 plus three
-    (k - r)/2-regular Class 1 parts.  The report is the certificate's
-    verification, with the corollary's clauses appended once it passes.
-    ``result`` is the graph's ``palette_index``; the graph is
-    ``result.coloring.graph``.
+
+def regular_corollary_check(
+    graph: MultiGraph, dec: Decomposition3, report: ClauseReport
+) -> ClauseReport:
+    """``report``, the verification of ``dec``, with the corollary's clauses
+    appended; a failing report comes back unchanged.
+
+    The corollary concerns a k-regular graph with palette index 3, and the
+    caller checks s = 3.  Its certificate is an optional r-regular spanning
+    part H0 plus three (k - r)/2-regular Class 1 parts.
     """
-    graph = result.coloring.graph
     k = is_regular(graph)
     if k is None:
         raise NotRegular("regular_corollary_check requires a regular graph")
-    if result.s_check != 3:
-        return None
-    dec = extract_decomposition_3(result.coloring)
-    report = verify_decomposition_3(graph, dec)
     if not report.ok:
-        return dec, report
+        return report
     degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
     r = degree.get("H0", 0)
     want = (k - r) // 2
@@ -378,7 +383,7 @@ def regular_corollary_check(
          f"{name} is {degree[name]}-regular, expected {want}")
         for name in ("H1", "H2", "H3") if name in degree
     )
-    return dec, ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
+    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
 
 
 def classify_cubic(graph: MultiGraph) -> int:
@@ -394,23 +399,21 @@ def classify_cubic(graph: MultiGraph) -> int:
     return 3 if found else 4
 
 
-def decomposition2_to_json(dec: Decomposition2) -> str:
-    def ids(subset: EdgeSubset | None):
-        return sorted(subset.members) if subset is not None else None
+def _ids(subset: EdgeSubset | None):
+    return sorted(subset.members) if subset is not None else None
 
-    return json.dumps({"H0": ids(dec.h0), "H1": ids(dec.h1)})
+
+def decomposition2_to_json(dec: Decomposition2) -> str:
+    return json.dumps({"H0": _ids(dec.h0), "H1": _ids(dec.h1)})
 
 
 def decomposition3_to_json(dec: Decomposition3) -> str:
-    def ids(subset: EdgeSubset | None):
-        return sorted(subset.members) if subset is not None else None
-
     return json.dumps(
         {
-            "H0": ids(dec.h0),
-            "H1": ids(dec.h1),
-            "H2": ids(dec.h2),
-            "H3": ids(dec.h3),
+            "H0": _ids(dec.h0),
+            "H1": _ids(dec.h1),
+            "H2": _ids(dec.h2),
+            "H3": _ids(dec.h3),
             "A": [sorted(p) for p in dec.partition.parts],
             "shape": dec.shape,
         }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 
-from palette_kit import Hypergraph, MultiGraph
+from palette_kit import EdgeColoring, Hypergraph, MultiGraph
 
 
 def proper_colorings(graph: MultiGraph, max_color: int):
@@ -179,3 +179,22 @@ def pairwise_intersecting(hypergraph: Hypergraph) -> bool:
             if not edges[i][1] & edges[j][1]:
                 return False
     return True
+
+
+def bf_reduce_colors(coloring: EdgeColoring) -> EdgeColoring:
+    """Recolor the larger color of the first two colors, in increasing
+    order, that no vertex palette holds together with the smaller one, and
+    repeat until no such pair is left.  Each round reads the palettes and
+    the hyperedges afresh off the current colors."""
+    graph = coloring.graph
+    colors = dict(coloring.colors)
+    while True:
+        palettes = {frozenset(colors[eid] for eid, _ in graph.incidence[v])
+                    for v in range(graph.n)}
+        holders = {c: {p for p in palettes if c in p} for c in sorted(set(colors.values()))}
+        pair = next(((a, b) for a, b in combinations(holders, 2)
+                     if not holders[a] & holders[b]), None)
+        if pair is None:
+            return EdgeColoring(graph, colors)
+        a, b = pair
+        colors = {eid: a if c == b else c for eid, c in colors.items()}

@@ -18,6 +18,7 @@ from conftest import FIG4_FRAGILE_60800
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+QUARTIC9 = os.path.join(ROOT, "bench", "fixtures", "quartic9.g6")
 
 MIXED = [
     encode_graph6(fam.path_graph(4)),
@@ -81,7 +82,9 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
     # The check really needed the palette index, which it used to re-solve.
     applies = {
         "thm-lower": lambda: solver.check_lower_bound_theorem(real(graph)).applicable,
-        "cor-regular3": lambda: decomposition.regular_corollary_check(real(graph)) is not None,
+        "cor-regular3": lambda: (result := real(graph)).s_check == 3
+        and decomposition.regular_corollary_check(
+            graph, *decomposition.certify_3(graph, result.coloring)[:2]).ok,
     }
     assert applies[check]()
 
@@ -334,7 +337,7 @@ def test_corpus_on_quartic9_matches_its_digest():
     # pinned byte for byte; CI checks the same digest through the entry point.
     with open(os.path.join(ROOT, "tests", "data", "quartic9_corpus.sha256")) as fh:
         expected = fh.read().split()[0]
-    code, out = run_cli(["corpus", os.path.join(ROOT, "bench", "fixtures", "quartic9.g6")])
+    code, out = run_cli(["corpus", QUARTIC9])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
@@ -379,15 +382,15 @@ def write_graph(tmp_path, graph, name="g.g6") -> str:
 
 @pytest.mark.parametrize(
     "graph,verifications,chi_searches",
-    [(fam.complete_graph(4), 1, 3), (fam.petersen_graph(), 2, 10)],
+    [(fam.complete_graph(4), 1, 3), (fam.petersen_graph(), 1, 6)],
     ids=["k4", "petersen"],
 )
 def test_corpus_record_verifies_each_certificate_once(
         monkeypatch, graph, verifications, chi_searches):
     # K4 (s = 1): thm-s3 verifies its one-part certificate; cor-regular3 has
-    # none.  Petersen (s = 3): thm-s3 and cor-regular3 verify one each.  χ′
-    # runs on the whole graph in the palette search and in classify_cubic,
-    # then once per part per verification: 1 + 1 + 1 and 1 + 1 + 4 + 4.
+    # none.  Petersen (s = 3): thm-s3 and cor-regular3 share one.  χ′ runs on
+    # the whole graph in the palette search and in classify_cubic, then once
+    # per part of the one verification: 1 + 1 + 1 and 1 + 1 + 4.
     counts = {"verify": 0, "chi": 0}
 
     def counting(key, real):
@@ -406,6 +409,42 @@ def test_corpus_record_verifies_each_certificate_once(
     record = cli._corpus_record(task)
     assert set(record["checks"].values()) <= {"pass", "skip"}
     assert counts == {"verify": verifications, "chi": chi_searches}
+
+
+def test_corpus_builds_each_certificate_once(monkeypatch):
+    # 15 of the 16 connected 4-regular graphs on 9 vertices have s = 3: one
+    # certificate each, shared by thm-s3 and cor-regular3.  The one with
+    # s = 4 makes thm-s3 try (and fail) an extraction.
+    counts = {}
+
+    def counting(name):
+        real = getattr(decomposition, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("extract_decomposition_3", "verify_decomposition_3", "synthesize_coloring_3"):
+        wrapper = counting(name)
+        for module in (cli, decomposition):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert run_cli(["corpus", QUARTIC9])[0] == 0
+    assert counts == {"extract_decomposition_3": 16, "verify_decomposition_3": 15,
+                      "synthesize_coloring_3": 15}
+
+
+@pytest.mark.parametrize("checks", ["thm-s3", "cor-regular3", "cor-regular3,thm-s3"])
+def test_certificate_checks_alone_match_the_full_run(checks):
+    # Whichever of thm-s3 and cor-regular3 runs first builds the shared
+    # certificate; each gives every record the outcome of the full run.
+    full = json.loads(run_cli(["corpus", QUARTIC9])[1])["records"]
+    code, out = run_cli(["corpus", "--checks", checks, QUARTIC9])
+    assert code == 0
+    names = checks.split(",")
+    for alone, record in zip(json.loads(out)["records"], full, strict=True):
+        assert alone["checks"] == {name: record["checks"][name] for name in names}
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,8 @@ from palette_kit import (
     verify_decomposition_2,
     verify_decomposition_3,
 )
+from palette_kit import cli, decomposition
+from palette_kit.decomposition import certify_3
 from palette_kit import families as fam
 
 from bruteforce import (
@@ -167,7 +169,7 @@ def test_k7_fig3_certificate_verifies():
 def test_k7_fig3_synthesis():
     k7, dec = k7_fig3_certificate()
     coloring = synthesized_3(k7, dec)
-    assert len(coloring.colorset) == 9
+    assert len(set(coloring.colors.values())) == 9
     system = palettes_of(coloring)
     assert sorted(len(p) for p in system.palettes) == [6, 6, 6]
     # three cubic Class 1 parts certify the palette index without a search:
@@ -332,9 +334,16 @@ def test_round_trip_on_small_graphs(rng):
 COROLLARY_CLAUSES = ["shape-a1a2", "three-parts", "degree-parity"] + ["equal-degrees"] * 3
 
 
+def corollary(graph, **kwargs):
+    """The certificate of the graph's minimal coloring and its report with
+    the corollary's clauses."""
+    dec, report, _ = certify_3(graph, palette_index(graph, **kwargs).coloring)
+    return dec, regular_corollary_check(graph, dec, report)
+
+
 def test_regular_corollary_petersen():
     pet = fam.petersen_graph()
-    dec, report = regular_corollary_check(palette_index(pet))
+    dec, report = corollary(pet)
     assert report.ok
     assert [name for name, _, _ in report.clauses[-6:]] == COROLLARY_CLAUSES
     # r = 1: a 1-regular spanning H0 and three 1-regular parts.
@@ -348,17 +357,37 @@ def test_regular_corollary_petersen():
     assert len(palettes_of(coloring)) == 3
 
 
-def test_regular_corollary_k4_false():
-    assert regular_corollary_check(palette_index(fam.complete_graph(4))) is None
+def test_regular_corollary_k4_false(monkeypatch):
+    # K4 has s = 1, so cor-regular3 passes without a corollary report.
+    def refuse(*args):
+        raise AssertionError("regular_corollary_check called at s != 3")
+
+    monkeypatch.setattr(cli, "regular_corollary_check", refuse)
+    monkeypatch.setattr(decomposition, "regular_corollary_check", refuse)
+    k4 = fam.complete_graph(4)
+    record = cli._corpus_record(
+        (0, "k4", k4.n, k4.edges, ("cor-regular3",), cli.PALETTE_INDEX_EDGE_CAP))
+    assert record["checks"] == {"cor-regular3": "pass"}
 
 
 def test_regular_corollary_requires_regular():
+    p4 = fam.path_graph(4)
+    dec, report, _ = certify_3(p4, palette_index(p4).coloring)
     with pytest.raises(NotRegular):
-        regular_corollary_check(palette_index(fam.path_graph(4)))
+        regular_corollary_check(p4, dec, report)
+
+
+def test_regular_corollary_returns_a_failing_report_unchanged():
+    pet = fam.petersen_graph()
+    dec = extract_decomposition_3(palette_index(pet).coloring)
+    dec = dec._replace(h0=None)
+    report = verify_decomposition_3(pet, dec)
+    assert not report.ok
+    assert regular_corollary_check(pet, dec, report) is report
 
 
 def test_regular_corollary_k7():
-    dec, report = regular_corollary_check(palette_index(fam.complete_graph(7), max_edges=21))
+    dec, report = corollary(fam.complete_graph(7), max_edges=21)
     assert report.ok
     assert [name for name, _, _ in report.clauses[-6:]] == COROLLARY_CLAUSES
     # r = 0: no H0 and three 3-regular parts.
@@ -400,7 +429,7 @@ def test_certificate_json_d2():
 
 def petersen_corollary_certificate():
     pet = fam.petersen_graph()
-    return pet, regular_corollary_check(palette_index(pet))[0]
+    return pet, corollary(pet)[0]
 
 
 def b_a_c_d_path_certificate():

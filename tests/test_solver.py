@@ -29,6 +29,7 @@ from bruteforce import (
     bf_min_palettes,
     bf_min_palettes_with_colors,
     bf_odd_cover,
+    bf_reduce_colors,
     pairwise_intersecting,
     palette_count,
     proper_colorings,
@@ -83,8 +84,8 @@ def test_witness_properties(rng):
         result = palette_index(g)
         system = palettes_of(result.coloring)
         assert len(system) == result.s_check
-        assert len(result.coloring.colorset) == result.k_min
-        assert result.coloring.colorset == set(range(1, result.k_min + 1))
+        assert len(set(result.coloring.colors.values())) == result.k_min
+        assert set(result.coloring.colors.values()) == set(range(1, result.k_min + 1))
 
 
 def test_witness_is_lexicographically_minimal():
@@ -124,7 +125,7 @@ def test_color_budget_relabel_property(rng):
         scrambled = EdgeColoring(
             g, {e: 7 * c + 3 for e, c in coloring.colors.items()}
         )
-        used = sorted(scrambled.colorset)
+        used = sorted(set(scrambled.colors.values()))
         relabel = {c: i + 1 for i, c in enumerate(used)}
         canonical = EdgeColoring(
             g, {e: relabel[c] for e, c in scrambled.colors.items()}
@@ -153,7 +154,7 @@ def test_reduce_colors_path_example():
     coloring = EdgeColoring(g, {0: 1, 1: 2, 2: 3})
     assert len(palettes_of(coloring)) == 4
     reduced = reduce_colors(coloring)
-    assert len(reduced.colorset) == 2
+    assert len(set(reduced.colors.values())) == 2
     assert len(palettes_of(reduced)) == 2
 
 
@@ -176,6 +177,8 @@ def test_reduce_colors_properties(g, r):
     reduced = reduce_colors(coloring)
     assert len(palettes_of(reduced)) <= len(palettes_of(coloring))
     assert pairwise_intersecting(associated_hypergraph(reduced))
+    # Pins the output itself: which colors merge, and into which.
+    assert reduced.colors == bf_reduce_colors(coloring).colors
 
 
 def test_lower_bound_examples():
