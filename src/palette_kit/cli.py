@@ -89,6 +89,9 @@ def _check_thm_cubic(graph, ctx):
 
 
 def _check_thm_lower(graph, ctx):
+    # s > delta_min is the conclusion, so the hypothesis needs no search.
+    if ctx["result"].s_check > ctx["min_degree"]:
+        return "pass", None
     outcome = check_lower_bound_theorem(ctx["result"])
     if not outcome.applicable or outcome.satisfied:
         return "pass", None

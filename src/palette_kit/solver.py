@@ -11,24 +11,35 @@ the full budget t * Delta decides each target t.  Only at the winning t is
 the number of colors then minimized, which is exactly the minimality notion
 for witnesses: a canonical coloring uses exactly the colors 1..max, so each
 success bounds k_min by its largest color, and the budget descends from
-there until a search fails or it reaches chi'.  The descent's last success
-is the lex-first coloring at k_min in search order; when edge ids follow
-endpoint order, as the graph6 and sparse6 decoders number them, it is the
-witness, and only other edge-id orders search once more.  The kernel also
-prunes when one palette is left: every open vertex that fits no completed
-palette must end with that palette, so those vertices share one degree d
-and at most d colors.  A parity filter skips searches before they start:
-each color class is a matching, so every color lies in the palettes of an
-even number of vertices.  Grouping the vertices by palette, the classes of
-odd size must then be coverable by at most k colors, each color in an even
-number of them and a class of degree d in d colors.  That is a 0/1 matrix with the classes'
-degrees as row sums and k columns of even sums, which the Gale-Ryser
-criterion decides in one pass (``_parity_ok``).  All four arguments
-are elementary; no result of the paper is used to prune the search, so the
-corpus checks built on it are not circular.  One caveat: on a regular graph
-of odd order the parity filter alone rules out t = 2 (one class of odd
-size, in no color with a partner), so there lemma-not2 tests the filter's
-soundness rather than the search.
+there until a search fails or it reaches chi'.
+
+Whether a search succeeds does not depend on the order in which it colors
+the edges; only its cost and the coloring it returns do.  The chi' witness
+has some p distinct palettes, so p >= s, and only targets t < p can need a
+proof of infeasibility.  Those targets, and a descent after a success at
+one of them, search in a proof order: the star order over a greedy vertex
+order, which keeps few vertices partly colored at once whatever the
+labelling.  From t = p on the search runs in the endpoint order, which is
+the edge-id order on graph6 and sparse6 input.  The descent's last success
+is the first coloring at k_min in its own order; when that is the edge-id
+order it is the witness, and otherwise one more search in edge-id order
+finds it.  p only chooses an order and never skips a target, so no search
+is pruned by it.
+
+The kernel prunes when one palette is left: every open vertex that fits
+no completed palette must end with that palette, so those vertices share
+one degree d and at most d colors.  A parity filter skips searches before
+they start: each color class is a matching, so every color lies in the
+palettes of an even number of vertices.  Grouping the vertices by palette,
+the classes of odd size must then be coverable by at most k colors, each
+color in an even number of them and a class of degree d in d colors.  That
+is a 0/1 matrix with the classes' degrees as row sums and k columns of even
+sums, which the Gale-Ryser criterion decides in one pass (``_parity_ok``).
+All these arguments are elementary; no result of the paper is used to prune
+the search, so the corpus checks built on it are not circular.  One caveat:
+on a regular graph of odd order the parity filter alone rules out t = 2 (one
+class of odd size, in no color with a partner), so there lemma-not2 tests
+the filter's soundness rather than the search.
 The kernel ``_search`` lives in ``coloring``, whose ``chromatic_index`` runs
 it with t = n: n distinct completed palettes means every vertex is complete,
 so that bound never prunes.
@@ -88,9 +99,19 @@ def palette_index(
     ``_search`` returns the first coloring in its order, and the colorings
     at budget k are among those at any larger budget.  So the descent's last
     success, whose largest color is k, is already the first coloring at
-    budget k in search order.  When the search order, sorted by endpoints,
-    is the edge-id order, as on every graph6 and sparse6 input, that success
-    is the witness; otherwise one more search in edge-id order finds it.
+    budget k in its search order.  That order is chosen per target from the
+    p distinct palettes of the chi' witness, which bound s from above:
+
+    - t < p searches, and a descent after a success there, run in the proof
+      order (``_proof_order``).  It is built once, the first time such a target passes the
+      chi' and parity filters, so a Class 1 regular graph (p = 1) never
+      builds it.
+    - t >= p runs in the endpoint order, which is the edge-id order on every
+      graph6 and sparse6 input.
+
+    When the descent's order is the edge-id order, its last success is the
+    witness; otherwise one more search in edge-id order at (s, k_min) finds
+    it.  p decides no target: feasibility does not depend on the order.
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -103,14 +124,23 @@ def palette_index(
     if graph.m == 0:
         return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
     delta = max(graph.degrees)
-    chi = chromatic_index(graph).chi_prime
+    chi, witness = chromatic_index(graph)
+    # p >= s, as the chi' witness itself has p palettes.
+    p = len({witness.palette(v) for v in range(graph.n)})
+    id_order = tuple(sorted(graph.edges))
     fast_order = _search_order(graph)
+    proof_order = None
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):
         budget = t * delta
         if budget < chi or not _parity_ok(degrees, t, budget):
             continue
-        best = _search(graph, t, budget, fast_order)
+        order = fast_order
+        if t < p:
+            if proof_order is None:
+                proof_order = _proof_order(graph)
+            order = proof_order
+        best = _search(graph, t, budget, order)
         if best is None:
             continue
         # A canonical coloring uses exactly the colors 1..max, so each
@@ -119,17 +149,45 @@ def palette_index(
         # The least budget from chi' up that the filter accepts; k passes it.
         k_lo = next((j for j in range(chi, k) if _parity_ok(degrees, t, j)), k)
         while k > k_lo:
-            found = _search(graph, t, k - 1, fast_order)
+            found = _search(graph, t, k - 1, order)
             if found is None:
                 break
             best, k = found, max(found.values())
         # The last success is the first coloring in search order at budget k.
-        id_order = tuple(sorted(graph.edges))
-        if fast_order != id_order:
+        if order != id_order:
             best = _search(graph, t, k, id_order)
             assert best is not None
         return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi)
     raise AssertionError("no palette count up to n was feasible")
+
+
+def _proof_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:
+    """The edges in star order over a greedy vertex order: each vertex, in
+    turn, brings its edges to the vertices after it.
+
+    The next vertex is the one with the most edges to the vertices already
+    taken; ties go to the one most recently linked to them, then to the
+    lowest label.  That keeps few vertices partly colored at once, so the
+    kernel's palette bounds act early whatever the labelling.
+    """
+    n = graph.n
+    links = [0] * n
+    linked_at = [-1] * n
+    rank = [-1] * n
+    for step in range(n):
+        x = max(
+            (y for y in range(n) if rank[y] < 0),
+            key=lambda y: (links[y], linked_at[y], -y),
+        )
+        rank[x] = step
+        for _, y in graph.incidence[x]:
+            if rank[y] < 0:
+                links[y] += 1
+                linked_at[y] = step
+    return tuple(sorted(
+        graph.edges,
+        key=lambda e: (min(rank[e[1]], rank[e[2]]), max(rank[e[1]], rank[e[2]]), e[0]),
+    ))
 
 
 @lru_cache(maxsize=1 << 14)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 from palette_kit import cli, coloring, decomposition, multigraph, solver
 from palette_kit import families as fam
-from palette_kit.formats import encode_graph6, encode_sparse6
+from palette_kit.formats import encode_graph6, encode_sparse6, read_graph_file
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
 from conftest import FIG4_FRAGILE_60800
@@ -305,15 +306,16 @@ def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
 
 def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     # The first 31 edges of K9 are over the cap, so the record is skipped
-    # unsolved.  thm-lower's cycle-space cap is lowered to 0: C5's cycle
-    # space has dimension 1, so its thm-lower is capped.  27 parallel edges
-    # need no cycle at all, as two of them form a spanning even subgraph.
+    # unsolved.  thm-lower's cycle-space cap is lowered to 0: K4 has s = 1,
+    # not above its min degree 3, and a cycle space of dimension 3, so its
+    # thm-lower is capped.  27 parallel edges need no cycle at all, as two
+    # of them form a spanning even subgraph.
     monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", 0)
     k9 = [[u, v] for u in range(9) for v in range(u + 1, 9)][:31]
-    c5 = [[i, (i + 1) % 5] for i in range(5)]
+    k4 = [[u, v] for u in range(4) for v in range(u + 1, 4)]
     path = tmp_path / "capped.json"
     path.write_text(json.dumps([
-        {"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}, {"n": 5, "edges": c5},
+        {"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}, {"n": 4, "edges": k4},
     ]))
     code, out = run_cli(["corpus", "--max-edges", "30", str(path)])
     assert code == 0
@@ -330,6 +332,18 @@ def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     for name, tally in report["tallies"].items():
         assert sum(tally.values()) == 3
         assert tally["capped"] == (2 if name == "thm-lower" else 1)
+
+
+def test_thm_lower_passes_without_search_when_s_exceeds_min_degree(tmp_path, monkeypatch):
+    # C5 has s = 3 > min degree 2, the theorem's conclusion, so thm-lower
+    # passes without the cycle-space search even with its cap at 0.
+    monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", 0)
+    path = write_graph(tmp_path, fam.cycle_graph(5))
+    code, out = run_cli(["corpus", "--checks", "thm-lower", path])
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert (record["s_check"], record["min_degree"]) == (3, 2)
+    assert record["checks"] == {"thm-lower": "pass"}
 
 
 def test_corpus_on_quartic9_matches_its_digest():
@@ -351,6 +365,33 @@ def test_palette_index_on_even_regular_census_matches_its_digest(census):
     with open(os.path.join(ROOT, "tests", "data", f"{census}_palette_index.sha256")) as fh:
         expected = fh.read().split()[0]
     code, out = run_cli(["palette-index", os.path.join(ROOT, "bench", "fixtures", f"{census}.g6")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_relabelled_censuses_fixture_is_reproducible():
+    # tests/data/relabelled.g6: every graph of five census fixtures, in this
+    # order, relabelled by a permutation from one shared random.Random(2024).
+    rng = random.Random(2024)
+    lines = []
+    for census in ("cubic10", "cubic12", "quartic10", "quartic9", "atlas"):
+        for _, graph in read_graph_file(os.path.join(ROOT, "bench", "fixtures", f"{census}.g6")):
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            pairs = sorted(tuple(sorted((perm[u], perm[v]))) for _, u, v in graph.edges)
+            lines.append(encode_graph6(MultiGraph.from_pairs(graph.n, pairs)) + "\n")
+    with open(os.path.join(ROOT, "tests", "data", "relabelled.g6")) as fh:
+        assert fh.read() == "".join(lines)
+
+
+def test_palette_index_on_relabelled_censuses_matches_its_digest():
+    # Native labellings often make the edge-id order the narrower one, so
+    # these relabelled censuses pin the witnesses where the proof order
+    # refutes targets below the chi' witness's palette count.  CI checks the
+    # same digest through the entry point.
+    with open(os.path.join(ROOT, "tests", "data", "relabelled_palette_index.sha256")) as fh:
+        expected = fh.read().split()[0]
+    code, out = run_cli(["palette-index", os.path.join(ROOT, "tests", "data", "relabelled.g6")])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 

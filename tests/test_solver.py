@@ -322,21 +322,74 @@ def test_parity_filter_answers_feasible_past_its_cap(monkeypatch):
         _parity_ok.cache_clear()
 
 
-def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
-    # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
-    # full-budget search at t = 3 (4 searches before the filter).  graph6
-    # numbers edges in endpoint order, so that search's success at k = 8 is
-    # the witness and no id-order search runs.
-    calls = []
+def spy_searches(monkeypatch) -> tuple[list, list]:
+    """Record (t, k, order) of every palette search and each proof order built."""
+    searches, built = [], []
+    real_order = solver._proof_order
 
-    def counted(graph, t, k, order):
-        calls.append((t, k))
+    def searched(graph, t, k, order):
+        searches.append((t, k, order))
         return _search(graph, t, k, order)
 
-    monkeypatch.setattr(solver, "_search", counted)
+    def ordered(graph):
+        built.append(graph)
+        return real_order(graph)
+
+    monkeypatch.setattr(solver, "_search", searched)
+    monkeypatch.setattr(solver, "_proof_order", ordered)
+    return searches, built
+
+
+def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
+    # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
+    # full-budget search at t = 3 (4 searches before the filter).  Its chi'
+    # witness has more than 3 palettes, so t = 3 searches in the proof order,
+    # which succeeds at k = 8; one search in edge-id order then finds the
+    # witness.
+    searches, _ = spy_searches(monkeypatch)
     graph, expected = PINNED_PALETTE_INDEX[-1]
     assert palette_index(graph).to_json() == expected
-    assert calls == [(3, 18)]
+    assert [(t, k) for t, k, _ in searches] == [(3, 18), (3, 8)]
+    assert [order for _, _, order in searches] == [
+        solver._proof_order(graph), tuple(sorted(graph.edges))]
+
+
+@pytest.mark.parametrize("text", ["C~", "E{Sw"], ids=["K4", "prism"])
+def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
+    # chi' witness of a Class 1 regular graph has one palette, so no target
+    # lies below it: the proof order is never built.
+    graph = decode_graph6(text)
+    searches, built = spy_searches(monkeypatch)
+    assert palette_index(graph).s_check == 1
+    assert searches == [(1, max(graph.degrees), tuple(sorted(graph.edges)))]
+    assert built == []
+
+
+@pytest.mark.parametrize("text", ["I_`T_p`J?", "IheA@GUAo"], ids=["relabelled", "native"])
+def test_petersen_refutes_two_in_the_proof_order(monkeypatch, text):
+    # Petersen's chi' witness has 3 palettes, so t = 2 needs a refutation,
+    # which runs in the proof order.  t = 3 succeeds in id order at
+    # k = chi' = 4, and that success is the witness, so no search follows.
+    graph = decode_graph6(text)
+    proof = solver._proof_order(graph)
+    searches, built = spy_searches(monkeypatch)
+    result = palette_index(graph)
+    assert (result.s_check, result.k_min) == (3, 4)
+    assert searches == [(2, 6, proof), (3, 9, tuple(sorted(graph.edges)))]
+    assert len(built) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_n=6, max_m=8))
+def test_proof_order_decides_every_target_as_id_order_does(g):
+    # The proof order only changes the cost of a search, never its answer.
+    proof = solver._proof_order(g)
+    assert sorted(proof) == sorted(g.edges)
+    id_order = tuple(sorted(g.edges))
+    delta = max(g.degrees, default=0)
+    for t in range(1, g.n + 1):
+        for k in range(t * delta + 1):
+            assert (_search(g, t, k, proof) is None) == (_search(g, t, k, id_order) is None)
 
 
 PINNED_PALETTE_INDEX = [
