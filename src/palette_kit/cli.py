@@ -81,7 +81,7 @@ def _check_lemma_not2(graph, ctx):
 def _check_thm_cubic(graph, ctx):
     if ctx["regular"] != 3 or not ctx["connected"]:
         return "skip", None
-    got = classify_cubic(graph)
+    got = classify_cubic(graph, ctx["result"].chi_prime)
     s_check = ctx["result"].s_check
     if got == s_check:
         return "pass", None
@@ -102,7 +102,7 @@ def _check_thm_s2(graph, ctx):
     result = ctx["result"]
     if result.s_check == 2:
         dec = extract_decomposition_2(result.coloring)
-        report = verify_decomposition_2(graph, dec)
+        report = verify_decomposition_2(graph, dec, result.coloring)
         if not report.ok:
             return "fail", {"clauses": report.failures(), "certificate": decomposition2_to_json(dec)}
         # Synthesis asserts that the coloring it builds has two palettes.
@@ -315,7 +315,7 @@ def cmd_decompose(args, out) -> int:
     # Extraction does not check its result; never print a failing certificate.
     if args.target == 2:
         dec = extract_decomposition_2(result.coloring)
-        verify_decomposition_2(graph, dec).require_ok()
+        verify_decomposition_2(graph, dec, result.coloring).require_ok()
         _emit(out, decomposition2_to_json(dec))
     else:
         dec, report, _ = certify_3(graph, result.coloring)
@@ -358,7 +358,8 @@ def cmd_hypergraph(args, out) -> int:
 
 def cmd_cubic_classify(args, out) -> int:
     graph = _load_single(args.file, args.max_edges)
-    _emit(out, json.dumps({"s_check": classify_cubic(graph)}))
+    s_check = classify_cubic(graph, chromatic_index(graph).chi_prime)
+    _emit(out, json.dumps({"s_check": s_check}))
     return 0
 
 

@@ -13,10 +13,14 @@ palettes the certificate is the H0 and H1 of the three-set one.
 A certificate flows ``palette_index`` → ``extract_decomposition_*`` →
 ``verify_decomposition_*`` → ``synthesize_coloring_*(graph, dec, report)``.
 Extraction only reads the minimal coloring and does not check what it
-returns.  Verification runs χ′ once on every part, and the report it returns
-carries each Class 1 part's edge-coloring, from which synthesis builds
-without another search.  ``certify_3`` runs the three-set path once, and
-every caller that needs that certificate takes it from there.
+returns.  Verification takes the coloring the certificate came from, when
+there is one, and proves each part Class 1 by its restriction: renumbered
+to 1..r, that is a proper r-coloring of the r-regular part exactly when it
+uses r colors.  χ′ runs on a part only when no coloring is given (a
+certificate read from a file) or its restriction uses more colors.  The
+report carries each Class 1 part's edge-coloring, from which synthesis
+builds without another search.  ``certify_3`` runs the three-set path
+once, and every caller that needs that certificate takes it from there.
 ``regular_corollary_check(graph, dec, report)`` appends the corollary's
 clauses (shape, three parts, degree parity, equal degrees) to that same
 report, so every certificate has one verdict, its ``ClauseReport``.
@@ -31,7 +35,6 @@ from typing import NamedTuple
 from .coloring import (
     EdgeColoring,
     PaletteSystem,
-    chromatic_index,
     is_class1_regular,
     palettes_of,
 )
@@ -116,16 +119,44 @@ def _edge_partition_clauses(
 
 
 def _class1_clause(
-    name: str, view: MultiGraph, witnesses: dict[str, EdgeColoring]
+    name: str,
+    view: MultiGraph,
+    r: int | None,
+    coloring: EdgeColoring | None,
+    witnesses: dict[str, EdgeColoring],
 ) -> tuple[str, bool, str]:
-    witness = is_class1_regular(view)
+    """The part's Class 1 clause; ``r`` is ``is_regular(view)``.
+
+    The coloring's restriction to the part, renumbered to 1..r, is a proper
+    r-coloring of an r-regular graph, and so proves Class 1, exactly when it
+    uses r colors.  Only otherwise, or without a coloring, does χ′ run.
+    """
+    witness = None
+    if coloring is not None and r:
+        colors = {eid: coloring.colors[eid] for eid, _, _ in view.edges}
+        used = sorted(set(colors.values()))
+        if len(used) == r:
+            rank = {c: i for i, c in enumerate(used, 1)}
+            witness = EdgeColoring(view, {eid: rank[c] for eid, c in colors.items()})
+    if witness is None:
+        witness = is_class1_regular(view)
     if witness is not None:
         witnesses[name] = witness
     return (f"{name.lower()}-class1", witness is not None, f"{name} is Class 1")
 
 
-def verify_decomposition_2(graph: MultiGraph, dec: Decomposition2) -> ClauseReport:
-    """Check a two-part certificate, running χ′ once on each present part."""
+def _require_coloring_of(graph: MultiGraph, coloring: EdgeColoring | None) -> None:
+    if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
+        raise MalformedInput("coloring belongs to a different graph")
+
+
+def verify_decomposition_2(
+    graph: MultiGraph, dec: Decomposition2, coloring: EdgeColoring | None = None
+) -> ClauseReport:
+    """Check a two-part certificate.  Each present part's Class 1 clause
+    reads ``coloring``, a proper coloring of ``graph``, when given (see
+    ``_class1_clause``), and otherwise runs χ′ on the part."""
+    _require_coloring_of(graph, coloring)
     deg = graph.degrees
     delta_max = max(deg, default=0)
     delta_min = min(deg, default=0)
@@ -141,23 +172,25 @@ def verify_decomposition_2(graph: MultiGraph, dec: Decomposition2) -> ClauseRepo
         view = induced_edge_subgraph(graph, dec.h0)
         spanning = set(view.vertex_labels or ()) == set(range(graph.n))
         clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
-        clauses.append(
-            ("h0-regular", is_regular(view) == delta_min, f"H0 is {delta_min}-regular")
-        )
-        clauses.append(_class1_clause("H0", view, witnesses))
+        r = is_regular(view)
+        clauses.append(("h0-regular", r == delta_min, f"H0 is {delta_min}-regular"))
+        clauses.append(_class1_clause("H0", view, r, coloring, witnesses))
     if dec.h1 is not None and len(dec.h1) > 0:
         view = induced_edge_subgraph(graph, dec.h1)
         want = delta_max - delta_min
-        clauses.append(
-            ("h1-regular", is_regular(view) == want, f"H1 is {want}-regular")
-        )
-        clauses.append(_class1_clause("H1", view, witnesses))
+        r = is_regular(view)
+        clauses.append(("h1-regular", r == want, f"H1 is {want}-regular"))
+        clauses.append(_class1_clause("H1", view, r, coloring, witnesses))
     return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
 
 
-def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseReport:
-    """Check a certificate of at most four parts, running χ′ once on each
-    present part."""
+def verify_decomposition_3(
+    graph: MultiGraph, dec: Decomposition3, coloring: EdgeColoring | None = None
+) -> ClauseReport:
+    """Check a certificate of at most four parts.  Each present part's
+    Class 1 clause reads ``coloring``, a proper coloring of ``graph``, when
+    given (see ``_class1_clause``), and otherwise runs χ′ on the part."""
+    _require_coloring_of(graph, coloring)
     clauses: list[tuple[str, bool, str]] = []
     witnesses: dict[str, EdgeColoring] = {}
     all_vertices = frozenset(range(graph.n))
@@ -188,11 +221,9 @@ def verify_decomposition_3(graph: MultiGraph, dec: Decomposition3) -> ClauseRepo
             continue
         view = induced_edge_subgraph(graph, subset)
         views[name] = view
-        key = name.lower()
-        clauses.append(
-            (f"{key}-regular", is_regular(view) is not None, f"{name} is regular")
-        )
-        clauses.append(_class1_clause(name, view, witnesses))
+        r = is_regular(view)
+        clauses.append((f"{name.lower()}-regular", r is not None, f"{name} is regular"))
+        clauses.append(_class1_clause(name, view, r, coloring, witnesses))
     if "H0" in views:
         spanning = set(views["H0"].vertex_labels or ()) == set(range(graph.n))
         clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
@@ -347,7 +378,7 @@ def certify_3(
     its verification, and the coloring synthesized from it (None when the
     report fails): the one path from a coloring to a checked certificate."""
     dec = extract_decomposition_3(coloring)
-    report = verify_decomposition_3(graph, dec)
+    report = verify_decomposition_3(graph, dec, coloring)
     synth = synthesize_coloring_3(graph, dec, report) if report.ok else None
     return dec, report, synth
 
@@ -386,14 +417,17 @@ def regular_corollary_check(
     return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
 
 
-def classify_cubic(graph: MultiGraph) -> int:
-    """Palette index of a connected cubic graph without a palette search:
-    1 when Class 1, else 3 exactly when a perfect matching exists, else 4."""
+def classify_cubic(graph: MultiGraph, chi_prime: int) -> int:
+    """Palette index of a connected cubic graph without a palette search,
+    after Horňák, Kalinowski, Meszka and Woźniak (2014): 1 when its
+    chromatic index ``chi_prime`` is 3 (Class 1), else 3 exactly when a
+    perfect matching exists, else 4.  The caller computes ``chi_prime``;
+    the corpus passes the one its palette search already found."""
     if is_regular(graph) != 3:
         raise NotCubic("classify_cubic requires a 3-regular graph")
     if not is_connected(graph):
         raise NotConnected("classify_cubic requires a connected graph")
-    if chromatic_index(graph).chi_prime == 3:
+    if chi_prime == 3:
         return 1
     found, _ = has_perfect_matching(graph)
     return 3 if found else 4

@@ -329,15 +329,18 @@ def has_spanning_even_subgraph_no_isolated(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Search for an edge set with all degrees even and >= 2.
 
-    A bundle of two or more parallel edges can carry either parity and
-    always covers both its ends: take one or two of its edges.  So the search
-    runs over the cycle space of the underlying simple graph, and only the
-    vertices on no such bundle must be covered.  That cycle space is the
-    GF(2) kernel of the vertex rows of the incidence matrix, and its basis
-    comes from one elimination of those rows; its dimension is
-    m - rank = m - n + #components.  A vertex to cover that no basis vector
-    reaches lies on no cycle, which decides the answer before any cap.
-    Otherwise the walk over every GF(2) combination of the basis is exact,
+    When every degree is even (and >= 2) the whole edge set is the witness,
+    before any elimination or cap.
+
+    Otherwise, a bundle of two or more parallel edges can carry either
+    parity and always covers both its ends: take one or two of its edges.
+    So the search runs over the cycle space of the underlying simple graph,
+    and only the vertices on no such bundle must be covered.  That cycle
+    space is the GF(2) kernel of the vertex rows of the incidence matrix,
+    and its basis comes from one elimination of those rows; its dimension
+    is m - rank = m - n + #components.  A vertex to cover that no basis
+    vector reaches lies on no cycle, which decides the answer before any
+    cap.  Otherwise the walk over every GF(2) combination of the basis is exact,
     and raises ResourceLimit when the dimension exceeds
     ``EVEN_SUBGRAPH_DIMENSION_CAP``.
     """
@@ -346,6 +349,9 @@ def has_spanning_even_subgraph_no_isolated(
     if min(graph.degrees) < 2:
         # A vertex of degree < 2 can never reach even degree >= 2.
         return False, None
+    if all(d % 2 == 0 for d in graph.degrees):
+        # An even graph is its own witness, whatever its cycle space.
+        return True, tuple(sorted(graph.edge_ids))
     bundles: dict[tuple[int, int], list[int]] = {}
     for eid, u, v in graph.edges:
         bundles.setdefault((u, v), []).append(eid)

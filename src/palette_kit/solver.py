@@ -24,7 +24,12 @@ the edge-id order on graph6 and sparse6 input.  The descent's last success
 is the first coloring at k_min in its own order; when that is the edge-id
 order it is the witness, and otherwise one more search in edge-id order
 finds it.  p only chooses an order and never skips a target, so no search
-is pruned by it.
+is pruned by it.  At p = 1 the chi' witness is itself the t = 1 result:
+one palette of size d at every vertex makes the graph d-regular with
+chi' = d = Delta, every proper Delta-coloring then has one palette, so the
+t = 1 search at budget Delta would return the very coloring chi' found in
+the same order.  s = 1 is read off the witness's measured palette count,
+never inferred from "Class 1 regular".
 
 The kernel prunes when one palette is left: every open vertex that fits
 no completed palette must end with that palette, so those vertices share
@@ -103,15 +108,20 @@ def palette_index(
     p distinct palettes of the chi' witness, which bound s from above:
 
     - t < p searches, and a descent after a success there, run in the proof
-      order (``_proof_order``).  It is built once, the first time such a target passes the
-      chi' and parity filters, so a Class 1 regular graph (p = 1) never
-      builds it.
+      order (``_proof_order``).  It is built once, the first time such a
+      target passes the chi' and parity filters.
     - t >= p runs in the endpoint order, which is the edge-id order on every
       graph6 and sparse6 input.
 
     When the descent's order is the edge-id order, its last success is the
     witness; otherwise one more search in edge-id order at (s, k_min) finds
     it.  p decides no target: feasibility does not depend on the order.
+
+    At p = 1 no palette search runs: the chi' witness is what the t = 1
+    search at budget chi' = Delta returns (same kernel, same endpoint
+    order), so it is the result at k_min = chi'.  When the endpoint order
+    is not the edge-id order (edge-list JSON input), the one search in
+    edge-id order at (1, chi') still finds the witness.
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -129,6 +139,12 @@ def palette_index(
     p = len({witness.palette(v) for v in range(graph.n)})
     id_order = tuple(sorted(graph.edges))
     fast_order = _search_order(graph)
+    if p == 1:
+        # Every proper Delta-coloring here has one palette, so the t = 1
+        # search at budget chi' = Delta would return this witness.
+        if fast_order != id_order:
+            witness = EdgeColoring(graph, _search(graph, 1, chi, id_order))
+        return PaletteIndexResult(1, witness, chi, chi)
     proof_order = None
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):

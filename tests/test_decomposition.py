@@ -12,6 +12,7 @@ from palette_kit import (
     EdgeColoring,
     EdgeSubset,
     InvalidCertificate,
+    MalformedInput,
     MultiGraph,
     NonMinimalColoring,
     NotConnected,
@@ -38,6 +39,7 @@ from palette_kit import (
     verify_decomposition_3,
 )
 from palette_kit import cli, decomposition
+from palette_kit import coloring as coloring_module
 from palette_kit.decomposition import certify_3
 from palette_kit import families as fam
 
@@ -398,13 +400,16 @@ def test_regular_corollary_k7():
 
 
 def test_classify_cubic():
-    assert classify_cubic(fam.complete_graph(4)) == 1
-    assert classify_cubic(fam.petersen_graph()) == 3
-    assert classify_cubic(fam.no_perfect_matching_cubic()) == 4
+    def classify(g):
+        return classify_cubic(g, chromatic_index(g).chi_prime)
+
+    assert classify(fam.complete_graph(4)) == 1
+    assert classify(fam.petersen_graph()) == 3
+    assert classify(fam.no_perfect_matching_cubic()) == 4
     with pytest.raises(NotCubic):
-        classify_cubic(fam.cycle_graph(5))
+        classify(fam.cycle_graph(5))
     with pytest.raises(NotConnected):
-        classify_cubic(fam.disjoint_union(fam.complete_graph(4), fam.complete_graph(4)))
+        classify(fam.disjoint_union(fam.complete_graph(4), fam.complete_graph(4)))
 
 
 def test_certificate_json_round_trip():
@@ -485,3 +490,69 @@ def test_synthesis_uses_the_verification_witnesses(g):
         rebuilt.update({e: c + offset for e, c in chromatic_index(view).witness.colors.items()})
         offset += r
     assert synthesize_coloring_3(g, dec, report).colors == rebuilt
+
+
+def assert_part_witnesses(graph, dec, report):
+    """Every witness is a proper r-coloring, in 1..r, of its r-regular part."""
+    parts = dict(dec.parts()) if isinstance(dec, Decomposition3) else {
+        name: s for name, s in (("H0", dec.h0), ("H1", dec.h1)) if s is not None}
+    for name, witness in report.witnesses.items():
+        view = induced_edge_subgraph(graph, parts[name])
+        r = is_regular(view)
+        assert witness.graph == view
+        assert witness.colors.keys() == parts[name].members
+        assert set(witness.colors.values()) == set(range(1, r + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    multigraphs(max_n=6, max_m=8),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2),
+)
+def test_verification_from_the_coloring_matches_the_search(g, r, spread):
+    # A certificate's own coloring proves its parts Class 1 by restriction;
+    # the verdict, clause by clause, is the one the χ′ search gives.
+    coloring = reduce_colors(random_proper_coloring(r, g, spread=spread))
+    t = len(palettes_of(coloring))
+    assume(t <= 3)
+    checks = [(extract_decomposition_3, verify_decomposition_3)]
+    if t == 2:
+        checks.append((extract_decomposition_2, verify_decomposition_2))
+    for extract, verify in checks:
+        dec = extract(coloring)
+        searched = verify(g, dec)
+        restricted = verify(g, dec, coloring)
+        assert (restricted.ok, restricted.clauses) == (searched.ok, searched.clauses)
+        assert restricted.witnesses.keys() == searched.witnesses.keys()
+        assert_part_witnesses(g, dec, restricted)
+
+
+@pytest.mark.parametrize("n", [4, 5], ids=["c4-class1", "c5-class2"])
+def test_verification_searches_when_the_restriction_uses_extra_colors(monkeypatch, n):
+    # A proper 3-coloring of a 2-regular cycle is no Class 1 witness, so
+    # verification falls back to χ′: C4 still passes and C5 still fails.
+    cycle = fam.cycle_graph(n)
+    three = EdgeColoring(
+        cycle, {eid: 3 if eid == n - 1 else 1 + eid % 2 for eid in cycle.edge_ids})
+    dec = Decomposition3(
+        EdgeSubset(cycle, cycle.edge_ids), None, None, None,
+        VertexPartition((frozenset(range(n)), frozenset(), frozenset())), None,
+    )
+    searched = verify_decomposition_3(cycle, dec)
+    calls = []
+    real = coloring_module.chromatic_index
+    monkeypatch.setattr(coloring_module, "chromatic_index", lambda g: calls.append(g) or real(g))
+    report = verify_decomposition_3(cycle, dec, three)
+    assert len(calls) == 1
+    assert report == searched
+    assert report.ok == (n % 2 == 0)
+    assert_part_witnesses(cycle, dec, report)
+
+
+def test_verification_refuses_a_coloring_of_another_graph():
+    k4 = fam.complete_graph(4)
+    dec = extract_decomposition_3(palette_index(k4).coloring)
+    c4 = fam.cycle_graph(4)
+    with pytest.raises(MalformedInput):
+        verify_decomposition_3(k4, dec, EdgeColoring(c4, {e: 1 + e % 2 for e in c4.edge_ids}))

@@ -205,12 +205,20 @@ def test_even_subgraph_against_bruteforce(rng):
 
 
 def test_even_subgraph_dimension_cap(monkeypatch):
-    # The cap sees the cycle-space dimension m - n + 1: 6 for K5, 28 for K9.
-    for n, cap, dim in [(5, 5, 6), (9, multigraph.EVEN_SUBGRAPH_DIMENSION_CAP, 28)]:
+    # The cap sees the cycle-space dimension m - n + 1: 10 for K6, 36 for
+    # K10.  Both have odd degrees, so the whole edge set is no witness.
+    for n, cap, dim in [(6, 5, 10), (10, multigraph.EVEN_SUBGRAPH_DIMENSION_CAP, 36)]:
         monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", cap)
         with pytest.raises(ResourceLimit) as info:
             has_spanning_even_subgraph_no_isolated(fam.complete_graph(n))
         assert info.value.size == dim
+
+
+def test_even_graph_is_its_own_witness_above_the_cap():
+    # K9 is 8-regular with a cycle space of dimension 28, over the cap of
+    # 25: its whole edge set is the witness, found before the cap applies.
+    g = fam.complete_graph(9)
+    assert has_spanning_even_subgraph_no_isolated(g) == (True, tuple(range(g.m)))
 
 
 @pytest.mark.parametrize("k", [6, 7])

@@ -356,12 +356,24 @@ def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
 
 @pytest.mark.parametrize("text", ["C~", "E{Sw"], ids=["K4", "prism"])
 def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
-    # chi' witness of a Class 1 regular graph has one palette, so no target
-    # lies below it: the proof order is never built.
+    # The chi' witness of a Class 1 regular graph has one palette, so it is
+    # the t = 1 result: the search at (1, Delta) in the endpoint order would
+    # return it.  On graph6 input that order is the edge-id order and no
+    # palette search runs; with the edge ids reversed (edge-list input) one
+    # search in edge-id order finds the witness.  The proof order is never
+    # built.
     graph = decode_graph6(text)
+    delta = max(graph.degrees)
+    reversed_ids = MultiGraph(
+        graph.n, tuple((graph.m - 1 - eid, u, v) for eid, u, v in graph.edges))
     searches, built = spy_searches(monkeypatch)
-    assert palette_index(graph).s_check == 1
-    assert searches == [(1, max(graph.degrees), tuple(sorted(graph.edges)))]
+    one_id_order_search = [(1, delta, tuple(sorted(reversed_ids.edges)))]
+    for g, expected in [(graph, []), (reversed_ids, one_id_order_search)]:
+        searches.clear()
+        result = palette_index(g)
+        assert (result.s_check, result.k_min, result.chi_prime) == (1, delta, delta)
+        assert result.coloring.colors == _search(g, 1, delta, tuple(sorted(g.edges)))
+        assert searches == expected
     assert built == []
 
 
