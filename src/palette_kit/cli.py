@@ -229,7 +229,6 @@ def cmd_corpus(args, out) -> int:
             records = list(pool.map(_corpus_record, tasks, chunksize=8))
     else:
         records = [_corpus_record(t) for t in tasks]
-    records.sort(key=lambda r: r["index"])
     tallies = {
         name: {"pass": 0, "fail": 0, "skip": 0, "capped": 0} for name in checks
     }

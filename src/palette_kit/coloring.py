@@ -8,10 +8,9 @@ n - 1 of them at most one vertex is open, whose colors always fit one palette.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .errors import ImproperColoring, MalformedInput
+from .errors import ImproperColoring
 from .multigraph import FrozenValue, MultiGraph, is_regular
 
 
@@ -47,12 +46,6 @@ class EdgeColoring(FrozenValue):
 
     def palette(self, v: int) -> frozenset[int]:
         return frozenset(self.colors[eid] for eid, _ in self.graph.incidence[v])
-
-    def to_json(self) -> str:
-        ids = sorted(self.graph.edge_ids)
-        if ids != list(range(len(ids))):
-            raise MalformedInput("JSON colorings require edge ids 0..m-1")
-        return json.dumps({"colors": [self.colors[i] for i in ids]})
 
 
 class PaletteSystem(FrozenValue):

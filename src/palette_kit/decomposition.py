@@ -313,6 +313,24 @@ def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
     return Decomposition2(dec.h0, dec.h1)
 
 
+def _stack(
+    graph: MultiGraph,
+    parts: tuple[tuple[str, EdgeSubset | None], ...],
+    witnesses: dict[str, EdgeColoring],
+) -> EdgeColoring:
+    """Put each present part's witness coloring on the next interval of
+    colors, as long as the part's degree.  On a passing report H0 is
+    delta_min-regular, so a two-part certificate's H1 starts after it."""
+    mapping: dict[int, int] = {}
+    offset = 0
+    for name, part in parts:
+        if part is not None:
+            witness = witnesses[name]
+            mapping.update({eid: c + offset for eid, c in witness.colors.items()})
+            offset += is_regular(witness.graph)
+    return EdgeColoring(graph, mapping)
+
+
 def synthesize_coloring_2(
     graph: MultiGraph, dec: Decomposition2, report: ClauseReport
 ) -> EdgeColoring:
@@ -320,14 +338,8 @@ def synthesize_coloring_2(
     colors, taking each part's coloring from ``report``, the verification of
     ``dec``; the result has exactly two palettes.  A failing report raises
     InvalidCertificate."""
-    witnesses = report.require_ok().witnesses
-    delta_min = min(graph.degrees, default=0)
-    mapping: dict[int, int] = {}
-    if dec.h0 is not None:
-        mapping.update(witnesses["H0"].colors)
-    if dec.h1 is not None:
-        mapping.update({eid: c + delta_min for eid, c in witnesses["H1"].colors.items()})
-    coloring = EdgeColoring(graph, mapping)
+    parts = (("H0", dec.h0), ("H1", dec.h1))
+    coloring = _stack(graph, parts, report.require_ok().witnesses)
     if len(palettes_of(coloring)) != 2:
         raise AssertionError("synthesized coloring does not have two palettes")
     return coloring
@@ -354,16 +366,8 @@ def synthesize_coloring_3(
     interval, taking each part's coloring from ``report``, the verification
     of ``dec``; vertices in the same A-set end with equal palettes.  A
     failing report raises InvalidCertificate."""
-    witnesses = report.require_ok().witnesses
-    mapping: dict[int, int] = {}
-    offset = 0
-    for name, _ in dec.parts():
-        witness = witnesses[name]
-        mapping.update({eid: c + offset for eid, c in witness.colors.items()})
-        offset += is_regular(witness.graph)
-    coloring = EdgeColoring(graph, mapping)
-    system = palettes_of(coloring)
-    if len(system) > 3:
+    coloring = _stack(graph, dec.parts(), report.require_ok().witnesses)
+    if len(palettes_of(coloring)) > 3:
         raise AssertionError("synthesized coloring exceeds three palettes")
     for part in dec.partition.parts:
         if len({coloring.palette(v) for v in part}) > 1:

@@ -162,9 +162,8 @@ def palette_index(
         # A canonical coloring uses exactly the colors 1..max, so each
         # success bounds k_min by its largest color.
         k = max(best.values())
-        # The least budget from chi' up that the filter accepts; k passes it.
-        k_lo = next((j for j in range(chi, k) if _parity_ok(degrees, t, j)), k)
-        while k > k_lo:
+        # The filter is monotone in k, so its first rejection ends the descent.
+        while k > chi and _parity_ok(degrees, t, k - 1):
             found = _search(graph, t, k - 1, order)
             if found is None:
                 break
@@ -223,7 +222,8 @@ def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
     the i largest rows sum to at most sum_j min(c_j, i) (``_odd_cover``).
     Palettes need not be distinct, so this only relaxes the search's
     condition.  After ``PARITY_EFFORT_CAP`` choices of the o_d it answers
-    True, which is sound.
+    True, which is sound.  The verdict is monotone in k: a spare column of
+    zeros has an even sum, and the choices tried do not depend on k.
     """
     if degrees[-1] > k:
         return False
@@ -264,75 +264,38 @@ def _odd_cover(rows: list[int], cols: int) -> bool:
 
 
 def palette_index_oracle(graph: MultiGraph) -> int:
-    """Independent ground truth: exhaust proper colorings up to relabeling.
+    """Independent ground truth: the fewest distinct palettes over every
+    canonical proper coloring, for graphs of at most ``ORACLE_EDGE_CAP``
+    edges.
 
-    Enumerates every canonical proper coloring with at most n * Delta colors
-    in plain edge-id order, tracking the number of distinct palettes among
-    finished vertices as a branch-and-bound lower bound.  No code is shared
-    with palette_index.
+    The edges are colored in edge-id order, each with a color already used
+    or the next unused one.  Every proper coloring renames to exactly one
+    such coloring, with the same palettes up to that renaming, so the
+    minimum over the leaves is the palette index.  Nothing is pruned: every
+    canonical proper coloring reaches a leaf.  No code and no pruning
+    argument is shared with ``palette_index``.
     """
     if graph.m > ORACLE_EDGE_CAP:
         raise ResourceLimit("edge count", graph.m, ORACLE_EDGE_CAP)
-    if graph.m == 0:
-        return 1 if graph.n else 0
-    budget = graph.n * max(graph.degrees)
-    edges = tuple(sorted(graph.edges))
-    n = graph.n
-    degrees = graph.degrees
-    colors_at = [frozenset()] * n
-    left = list(degrees)
-    finished: dict[frozenset[int], int] = {}
-    if any(d == 0 for d in degrees):
-        finished[frozenset()] = sum(1 for d in degrees if d == 0)
-    best = [n + 1]
+    edges = sorted(graph.edges)
+    masks = [0] * graph.n
 
-    def bound() -> int:
-        distinct = len(finished)
-        if distinct + 1 == best[0]:
-            # One new palette suffices to prune if some open vertex cannot
-            # land in any finished palette.
-            for x in range(n):
-                if left[x] and not any(
-                    len(p) == degrees[x] and colors_at[x] <= p for p in finished
-                ):
-                    return distinct + 1
-        return distinct
-
-    def walk(i: int, maxused: int) -> None:
-        if bound() >= best[0]:
-            return
+    def walk(i: int, used: int) -> int:
         if i == len(edges):
-            best[0] = len(finished)
-            return
-        eid, u, v = edges[i]
-        for c in range(1, min(maxused + 1, budget) + 1):
-            if c in colors_at[u] or c in colors_at[v]:
-                continue
-            saved_u, saved_v = colors_at[u], colors_at[v]
-            colors_at[u] = saved_u | {c}
-            colors_at[v] = saved_v | {c}
-            left[u] -= 1
-            left[v] -= 1
-            added = []
-            for x in (u, v):
-                if left[x] == 0:
-                    pal = colors_at[x]
-                    finished[pal] = finished.get(pal, 0) + 1
-                    added.append(pal)
-            walk(i + 1, max(maxused, c))
-            for pal in added:
-                if finished[pal] == 1:
-                    del finished[pal]
-                else:
-                    finished[pal] -= 1
-            left[u] += 1
-            left[v] += 1
-            colors_at[u], colors_at[v] = saved_u, saved_v
-        return
+            return len(set(masks))
+        _, u, v = edges[i]
+        best = graph.n
+        for c in range(used + 1):
+            bit = 1 << c
+            if not (masks[u] | masks[v]) & bit:
+                masks[u] |= bit
+                masks[v] |= bit
+                best = min(best, walk(i + 1, max(used, c + 1)))
+                masks[u] ^= bit
+                masks[v] ^= bit
+        return best
 
-    walk(0, 0)
-    assert best[0] <= n
-    return best[0]
+    return walk(0, 0)
 
 
 def reduce_colors(coloring: EdgeColoring) -> EdgeColoring:

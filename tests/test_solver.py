@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from palette_kit import (
     palette_index,
     palette_index_oracle,
     palettes_of,
+    read_graph_file,
     reduce_colors,
 )
 from palette_kit import families as fam
@@ -36,6 +38,8 @@ from bruteforce import (
 )
 from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
+ATLAS = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "atlas.g6"
+
 
 def test_oracle_examples():
     assert palette_index_oracle(fam.path_graph(3)) == 3
@@ -50,6 +54,22 @@ def test_oracle_against_naive_bruteforce(rng):
         if g.m > 7:
             continue
         assert palette_index_oracle(g) == bf_min_palettes(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(multigraphs(max_n=5, max_m=6))
+@example(MultiGraph.from_pairs(3, [(0, 1), (0, 1), (1, 2)]))
+def test_oracle_matches_naive_bruteforce_on_multigraphs(g):
+    # Parallel edges included: both enumerate colorings, with no pruning.
+    assert palette_index_oracle(g) == bf_min_palettes(g)
+
+
+def test_palette_index_matches_oracle_on_the_atlas():
+    # Every graph of the atlas with at most ORACLE_EDGE_CAP edges (713).
+    small = [g for _, g in read_graph_file(str(ATLAS)) if g.m <= solver.ORACLE_EDGE_CAP]
+    assert len(small) == 713
+    for g in small:
+        assert palette_index(g).s_check == palette_index_oracle(g)
 
 
 def test_palette_index_named_graphs():
@@ -285,6 +305,20 @@ def test_parity_filter_accepts_every_feasible_pair(g):
         for t in range(1, g.n + 1):
             if best is not None and best <= t:
                 assert _parity_ok(degrees, t, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    st.integers(1, 8),
+    st.integers(0, 12),
+)
+def test_parity_filter_is_monotone_in_the_budget(degrees, t, k):
+    # palette_index ends its descent at the filter's first rejection, which
+    # is sound only if every larger budget is accepted as well.
+    degrees = tuple(sorted(degrees))
+    if _parity_ok(degrees, t, k):
+        assert _parity_ok(degrees, t, k + 1)
 
 
 def test_odd_cover_is_exact():
