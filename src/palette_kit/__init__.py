@@ -44,8 +44,6 @@ from .formats import (
     decode_graph6,
     decode_sparse6,
     encode_edge_list_json,
-    encode_graph6,
-    encode_sparse6,
     read_graph_file,
 )
 from .hypergraphs import Hypergraph, associated_hypergraph

@@ -54,15 +54,6 @@ from .solver import (
     palette_index,
 )
 
-CHECK_NAMES = (
-    "lemma-not2",
-    "thm-cubic",
-    "thm-lower",
-    "thm-s2",
-    "thm-s3",
-    "cor-regular3",
-)
-
 CSV_HEADER = (
     "index,input,n,m,max_degree,min_degree,chi_prime,class,s_check,k_min"
 )
@@ -159,6 +150,7 @@ CHECKS = {
     "thm-s3": _check_thm_s3,
     "cor-regular3": _check_cor_regular3,
 }
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _corpus_record(task) -> dict:

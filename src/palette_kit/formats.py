@@ -1,8 +1,11 @@
-"""Graph ingestion: graph6, sparse6 and edge-list JSON.
+"""Graph ingestion: readers for graph6, sparse6 and edge-list JSON.
 
 graph6 and sparse6 follow the nauty text formats (6-bit big-endian groups
-stored in printable bytes 63..126).  Both formats describe simple graphs
-here; multigraphs enter only through edge-list JSON.
+stored in printable bytes 63..126).  graph6 describes simple graphs; sparse6
+and edge-list JSON also carry parallel edges, a repeated pair being one more
+edge.  The package writes neither graph6 nor sparse6: networkx's
+``to_graph6_bytes`` and ``to_sparse6_bytes`` do.  Every reader gives edge i
+the i-th pair, and the graph6 and sparse6 readers sort the pairs first.
 """
 
 from __future__ import annotations
@@ -36,18 +39,6 @@ def _decode_n(data: str, pos: int) -> tuple[int, int]:
     for i in range(pos + 2, pos + 8):
         n = n << 6 | val(i)
     return n, pos + 8
-
-
-def _encode_n(n: int) -> str:
-    if n < 0:
-        raise MalformedInput("vertex count must be nonnegative")
-    if n <= 62:
-        return chr(63 + n)
-    if n <= 258047:
-        return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return "~~" + "".join(chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))
-    raise MalformedInput("vertex count too large for graph6/sparse6")
 
 
 def _bits_of(data: str, pos: int) -> list[int]:
@@ -87,24 +78,6 @@ def decode_graph6(line: str) -> MultiGraph:
     return MultiGraph.from_pairs(n, pairs)
 
 
-def encode_graph6(graph: MultiGraph) -> str:
-    if graph.max_multiplicity > 1:
-        raise MalformedInput("graph6 cannot encode parallel edges")
-    n = graph.n
-    adj = {(u, v) for _, u, v in graph.edges}
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [
-        chr(63 + sum(bits[i + t] << (5 - t) for t in range(6)))
-        for i in range(0, len(bits), 6)
-    ]
-    return _encode_n(n) + "".join(chars)
-
-
 def decode_sparse6(line: str) -> MultiGraph:
     data = line.strip()
     if data.startswith(SPARSE6_HEADER):
@@ -117,7 +90,6 @@ def decode_sparse6(line: str) -> MultiGraph:
         k += 1
     bits = _bits_of(data, pos)
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     v = 0
     i = 0
     while i + k < len(bits):
@@ -132,67 +104,12 @@ def decode_sparse6(line: str) -> MultiGraph:
             break
         if x > v:
             v = x
+        elif x == v:
+            raise LoopRejected(f"sparse6 data encodes a loop at vertex {v}")
         else:
-            if x == v:
-                raise LoopRejected(f"sparse6 data encodes a loop at vertex {v}")
-            key = (x, v)
-            if key in seen:
-                raise MalformedInput("sparse6 data encodes parallel edges")
-            seen.add(key)
-            pairs.append(key)
+            pairs.append((x, v))
     pairs.sort()
     return MultiGraph.from_pairs(n, pairs)
-
-
-def encode_sparse6(graph: MultiGraph) -> str:
-    if graph.max_multiplicity > 1:
-        raise MalformedInput("sparse6 output is restricted to simple graphs here")
-    n = graph.n
-    k = 1
-    while (1 << k) < n:
-        k += 1
-
-    def enc(x: int) -> list[int]:
-        return [x >> s & 1 for s in range(k - 1, -1, -1)]
-
-    bits: list[int] = []
-    v = 0
-    ordered = sorted(
-        ((min(u, w), max(u, w)) for _, u, w in graph.edges),
-        key=lambda p: (p[1], p[0]),
-    )
-    for u, w in ordered:
-        if w == v:
-            bits.append(0)
-            bits.extend(enc(u))
-        elif w == v + 1:
-            v += 1
-            bits.append(1)
-            bits.extend(enc(u))
-        else:
-            v = w
-            bits.append(1)
-            bits.extend(enc(w))
-            bits.append(0)
-            bits.extend(enc(u))
-    pad = -len(bits) % 6
-    # Padding with 1s could decode as a loop at n-1 when n is a power of two
-    # and the decoder's vertex counter sits at n-2; a single 0 bit avoids it.
-    if k < 6 and n == (1 << k) and pad >= k + 1 and 0 < v < n - 1:
-        bits.append(0)
-        pad = -len(bits) % 6
-    bits.extend([1] * pad)
-    chars = [
-        chr(63 + sum(bits[i + t] << (5 - t) for t in range(6)))
-        for i in range(0, len(bits), 6)
-    ]
-    out = ":" + _encode_n(n) + "".join(chars)
-    check = decode_sparse6(out)
-    if check.n != n or {(u, w) for _, u, w in check.edges} != {
-        (u, w) for _, u, w in graph.edges
-    }:
-        raise AssertionError("sparse6 encoder self-check failed")
-    return out
 
 
 def decode_edge_list_json(payload: str | bytes | dict) -> MultiGraph:
@@ -211,7 +128,6 @@ def decode_edge_list_json(payload: str | bytes | dict) -> MultiGraph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise MalformedInput("field 'edges' must be a list of pairs")
-    pairs = []
     for idx, item in enumerate(edges):
         if (
             not isinstance(item, (list, tuple))
@@ -219,25 +135,13 @@ def decode_edge_list_json(payload: str | bytes | dict) -> MultiGraph:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
         ):
             raise MalformedInput(f"edge {idx} is not a pair of integers")
-        u, v = item
-        if not (0 <= u < n and 0 <= v < n):
-            raise MalformedInput(f"edge {idx}: endpoint out of range 0..{n - 1}")
-        if u == v:
-            raise LoopRejected(f"edge {idx}: loop at vertex {u}")
-        pairs.append((u, v))
-    return MultiGraph.from_pairs(n, pairs)
+    # MultiGraph refuses endpoints out of range and loops; edge idx has id idx.
+    return MultiGraph.from_pairs(n, edges)
 
 
 def encode_edge_list_json(graph: MultiGraph) -> str:
     edges = [[u, v] for _, u, v in sorted(graph.edges)]
     return json.dumps({"n": graph.n, "edges": edges}, separators=(",", ":"))
-
-
-def detect_and_parse(line: str) -> MultiGraph:
-    """Decode one graph6 or sparse6 line."""
-    if line.startswith(":") or line.startswith(SPARSE6_HEADER):
-        return decode_sparse6(line)
-    return decode_graph6(line)
 
 
 def read_text(path: str) -> str:
@@ -277,8 +181,9 @@ def read_graph_file(path: str) -> list[tuple[str, MultiGraph]]:
         line = line.strip()
         if not line:
             continue
+        decode = decode_sparse6 if line.startswith((":", SPARSE6_HEADER)) else decode_graph6
         try:
-            out.append((line, detect_and_parse(line)))
+            out.append((line, decode(line)))
         except MalformedInput as exc:
             raise MalformedInput(f"{path}:{lineno}: {exc}") from exc
     return out

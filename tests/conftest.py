@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +17,14 @@ FIG4_FRAGILE_60800 = "ON^g?CB?{F???@?D_?{?L"
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+def nx_line(graph: MultiGraph, write=nx.to_graph6_bytes) -> str:
+    """The line networkx's writer (``nx.to_graph6_bytes`` or
+    ``nx.to_sparse6_bytes``) gives for graph, vertex i written as i."""
+    nxg = nx.empty_graph(graph.n, nx.MultiGraph if graph.max_multiplicity > 1 else nx.Graph)
+    nxg.add_edges_from((u, v) for _, u, v in graph.edges)
+    return write(nxg, nodes=range(graph.n), header=False).decode().rstrip()
 
 
 def random_simple_graph(r: random.Random, n: int, p: float = 0.5) -> MultiGraph:

@@ -12,28 +12,22 @@ import pytest
 
 from palette_kit import cli, coloring, decomposition, multigraph, solver
 from palette_kit import families as fam
-from palette_kit.formats import encode_graph6, encode_sparse6, read_graph_file
+from palette_kit.formats import read_graph_file
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
-from conftest import FIG4_FRAGILE_60800
+from conftest import FIG4_FRAGILE_60800, nx_line
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 QUARTIC9 = os.path.join(ROOT, "bench", "fixtures", "quartic9.g6")
 
-MIXED = [
-    encode_graph6(fam.path_graph(4)),
-    encode_graph6(fam.petersen_graph()),
-    encode_graph6(fam.complete_graph(4)),
-    encode_graph6(fam.cycle_graph(5)),
-    encode_graph6(fam.star(3)),
-    encode_sparse6(fam.complete_bipartite(2, 3)),
-]
+# P4, Petersen, K4, C5 and the star K_{1,3} in graph6, then K_{2,3} in sparse6.
+MIXED = ["Ch", "IheA@GUAo", "C~", "Dhc", "Cs", ":Dg@_WF"]
 
 
 # K5 and the six connected 4-regular graphs on 8 vertices.
 QUARTIC = [
-    encode_graph6(fam.complete_graph(5)),
+    "D~{",
     "Gtlai[", "Gthqq[", "Gthayw", "Gs`zro", "G|dIXk", "G|daW{",
 ]
 
@@ -293,9 +287,21 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path, argv, bad):
     assert err.count("\n") == 1
 
 
+def test_palette_index_reads_parallel_edges_from_sparse6(tmp_path):
+    # Shannon's triangle, every pair doubled: sparse6 sorts its pairs, so its
+    # edge ids are those of the edge-list JSON with sorted edges.
+    sparse6 = tmp_path / "shannon.s6"
+    sparse6.write_text(":B__H\n")
+    edge_list = tmp_path / "shannon.json"
+    edge_list.write_text('{"n": 3, "edges": [[0, 1], [0, 1], [0, 2], [0, 2], [1, 2], [1, 2]]}')
+    out = '{"s_check": 3, "k_min": 6, "colors": [1, 2, 3, 4, 5, 6]}\n'
+    assert run_cli(["palette-index", str(sparse6)]) == (0, out)
+    assert run_cli(["palette-index", str(edge_list)]) == (0, out)
+
+
 def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
     path = tmp_path / "k4.g6"
-    path.write_text(encode_graph6(fam.complete_graph(4)) + "\n")
+    path.write_text("C~\n")
     code, _ = run_cli(["chromatic-index", "--max-edges", "1", str(path)])
     assert code == 1
     assert "exceeds" in capsys.readouterr().err
@@ -379,7 +385,7 @@ def test_relabelled_censuses_fixture_is_reproducible():
             perm = list(range(graph.n))
             rng.shuffle(perm)
             pairs = sorted(tuple(sorted((perm[u], perm[v]))) for _, u, v in graph.edges)
-            lines.append(encode_graph6(MultiGraph.from_pairs(graph.n, pairs)) + "\n")
+            lines.append(nx_line(MultiGraph.from_pairs(graph.n, pairs)) + "\n")
     with open(os.path.join(ROOT, "tests", "data", "relabelled.g6")) as fh:
         assert fh.read() == "".join(lines)
 
@@ -428,7 +434,7 @@ def test_chi_prime_has_no_cap_of_its_own(tmp_path):
 
 def write_graph(tmp_path, graph, name="g.g6") -> str:
     path = tmp_path / name
-    path.write_text(encode_graph6(graph) + "\n")
+    path.write_text(nx_line(graph) + "\n")
     return str(path)
 
 
