@@ -65,6 +65,7 @@ from .solver import (
     LowerBoundCheck,
     PaletteIndexResult,
     check_lower_bound_theorem,
+    lex_min_witness,
     palette_index,
     palette_index_oracle,
     reduce_colors,

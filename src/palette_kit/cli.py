@@ -51,6 +51,7 @@ from .formats import read_graph_file, read_text
 from .solver import (
     PALETTE_INDEX_EDGE_CAP,
     check_lower_bound_theorem,
+    lex_min_witness,
     palette_index,
 )
 
@@ -281,7 +282,7 @@ def _load_single(path: str, max_edges: int) -> MultiGraph:
 
 def cmd_palette_index(args, out) -> int:
     for _, graph in read_graph_file(args.file):
-        result = palette_index(graph, max_edges=args.max_edges)
+        result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
         _emit(out, result.to_json())
     return 0
 
@@ -302,7 +303,7 @@ def cmd_chromatic_index(args, out) -> int:
 
 def cmd_decompose(args, out) -> int:
     graph = _load_single(args.file, args.max_edges)
-    result = palette_index(graph, max_edges=args.max_edges)
+    result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
     # Extraction does not check its result; never print a failing certificate.
     if args.target == 2:
         dec = extract_decomposition_2(result.coloring)
@@ -339,7 +340,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_hypergraph(args, out) -> int:
     graph = _load_single(args.file, args.max_edges)
-    result = palette_index(graph, max_edges=args.max_edges)
+    result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
     hyper = associated_hypergraph(result.coloring)
     _emit(out, hyper.to_json())
     if args.render:
@@ -374,7 +375,7 @@ def cmd_fig4_witness(args, out) -> int:
         matchings = _all_perfect_matchings(graph)
         if not matchings:
             continue
-        result = palette_index(graph, max_edges=args.max_edges)
+        result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
         if result.s_check != 3:
             continue
         dec, report, synth = certify_3(graph, result.coloring)

@@ -20,16 +20,22 @@ proof of infeasibility.  Those targets, and a descent after a success at
 one of them, search in a proof order: the star order over a greedy vertex
 order, which keeps few vertices partly colored at once whatever the
 labelling.  From t = p on the search runs in the endpoint order, which is
-the edge-id order on graph6 and sparse6 input.  The descent's last success
-is the first coloring at k_min in its own order; when that is the edge-id
-order it is the witness, and otherwise one more search in edge-id order
-finds it.  p only chooses an order and never skips a target, so no search
-is pruned by it.  At p = 1 the chi' witness is itself the t = 1 result:
-one palette of size d at every vertex makes the graph d-regular with
-chi' = d = Delta, every proper Delta-coloring then has one palette, so the
-t = 1 search at budget Delta would return the very coloring chi' found in
-the same order.  s = 1 is read off the witness's measured palette count,
-never inferred from "Class 1 regular".
+the edge-id order on graph6 and sparse6 input.  p only chooses an order and
+never skips a target, so no search is pruned by it.  At p = 1 the chi'
+witness is itself the t = 1 result: one palette of size d at every vertex
+makes the graph d-regular with chi' = d = Delta, every proper Delta-coloring
+then has one palette, so the t = 1 search at budget Delta would return the
+very coloring chi' found in the same order.  s = 1 is read off the
+witness's measured palette count, never inferred from "Class 1 regular".
+
+``palette_index`` returns the descent's last success, which is a minimal
+coloring: s palettes and the colors 1..k_min.  The paper's statements hold
+for every minimal coloring, so the corpus checks read that one.
+``lex_min_witness`` gives the lexicographically smallest minimal coloring in
+edge-id order, which the commands that print a coloring (``palette-index``,
+``decompose``, ``hypergraph`` and ``fig4-witness``) show: the descent's
+coloring when it searched in edge-id order, and otherwise the result of one
+more search in edge-id order at (s, k_min).
 
 The kernel prunes when one palette is left: every open vertex that fits
 no completed palette must end with that palette, so those vertices share
@@ -75,6 +81,9 @@ class PaletteIndexResult(NamedTuple):
     coloring: EdgeColoring
     k_min: int
     chi_prime: int
+    # Whether ``coloring`` came from a search in edge-id order, which makes it
+    # the lex-min minimal coloring (``lex_min_witness``).
+    in_id_order: bool
 
     def to_json(self) -> str:
         ids = sorted(self.coloring.graph.edge_ids)
@@ -90,22 +99,23 @@ class PaletteIndexResult(NamedTuple):
 def palette_index(
     graph: MultiGraph, max_edges: int = PALETTE_INDEX_EDGE_CAP
 ) -> PaletteIndexResult:
-    """Exact palette index with a minimal witness coloring.
+    """Exact palette index with a minimal coloring.
 
     Each target t gets one search with colors 1..t * Delta, which is
     conclusive by monotonicity in the color budget.  At the first feasible t
     the budget descends from the largest color of that success: each further
     success lowers it to its own largest color, and the first failure, or
     chi', stops it at k_min.  That is one failing search where an ascent from
-    chi' fails once per k below k_min.  The witness has exactly s_check
-    distinct palettes, uses k_min colors, and is the lexicographically
-    smallest assignment vector in edge-id order among those witnesses.
+    chi' fails once per k below k_min.  The coloring is the descent's last
+    success: it has exactly s_check distinct palettes and uses the colors
+    1..k_min.  It is some minimal coloring, not necessarily the
+    lexicographically smallest one; ``lex_min_witness`` gives that.
 
     ``_search`` returns the first coloring in its order, and the colorings
     at budget k are among those at any larger budget.  So the descent's last
-    success, whose largest color is k, is already the first coloring at
-    budget k in its search order.  That order is chosen per target from the
-    p distinct palettes of the chi' witness, which bound s from above:
+    success, whose largest color is k, is the first coloring at budget k in
+    its search order.  That order is chosen per target from the p distinct
+    palettes of the chi' witness, which bound s from above:
 
     - t < p searches, and a descent after a success there, run in the proof
       order (``_proof_order``).  It is built once, the first time such a
@@ -113,15 +123,12 @@ def palette_index(
     - t >= p runs in the endpoint order, which is the edge-id order on every
       graph6 and sparse6 input.
 
-    When the descent's order is the edge-id order, its last success is the
-    witness; otherwise one more search in edge-id order at (s, k_min) finds
-    it.  p decides no target: feasibility does not depend on the order.
+    ``in_id_order`` records whether that order is the edge-id order.  p
+    decides no target: feasibility does not depend on the order.
 
     At p = 1 no palette search runs: the chi' witness is what the t = 1
     search at budget chi' = Delta returns (same kernel, same endpoint
-    order), so it is the result at k_min = chi'.  When the endpoint order
-    is not the edge-id order (edge-list JSON input), the one search in
-    edge-id order at (1, chi') still finds the witness.
+    order), so it is the result at k_min = chi'.
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -132,7 +139,7 @@ def palette_index(
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
     if graph.m == 0:
-        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
+        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0, True)
     delta = max(graph.degrees)
     chi, witness = chromatic_index(graph)
     # p >= s, as the chi' witness itself has p palettes.
@@ -142,9 +149,7 @@ def palette_index(
     if p == 1:
         # Every proper Delta-coloring here has one palette, so the t = 1
         # search at budget chi' = Delta would return this witness.
-        if fast_order != id_order:
-            witness = EdgeColoring(graph, _search(graph, 1, chi, id_order))
-        return PaletteIndexResult(1, witness, chi, chi)
+        return PaletteIndexResult(1, witness, chi, chi, fast_order == id_order)
     proof_order = None
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):
@@ -168,12 +173,28 @@ def palette_index(
             if found is None:
                 break
             best, k = found, max(found.values())
-        # The last success is the first coloring in search order at budget k.
-        if order != id_order:
-            best = _search(graph, t, k, id_order)
-            assert best is not None
-        return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi)
+        return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi, order == id_order)
     raise AssertionError("no palette count up to n was feasible")
+
+
+def lex_min_witness(result: PaletteIndexResult) -> PaletteIndexResult:
+    """``result`` with the lexicographically smallest minimal coloring in
+    edge-id order.
+
+    The search in edge-id order at (s_check, k_min) returns the first
+    coloring, in that order, with at most s_check palettes and colors in
+    1..k_min.  It has exactly s_check palettes, since s is the least, and
+    uses every color 1..k_min, since no fewer colors admit s palettes.  A
+    result whose coloring came from a search in that order (``in_id_order``)
+    already is that coloring, the descent's last success being the first at
+    its budget, and is returned unchanged.
+    """
+    if result.in_id_order:
+        return result
+    graph = result.coloring.graph
+    colors = _search(graph, result.s_check, result.k_min, tuple(sorted(graph.edges)))
+    assert colors is not None
+    return result._replace(coloring=EdgeColoring(graph, colors), in_id_order=True)
 
 
 def _proof_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:
@@ -331,7 +352,12 @@ def check_lower_bound_theorem(result: PaletteIndexResult) -> LowerBoundCheck:
     without isolated vertices have palette index above their min degree.
 
     ``result`` is the graph's ``palette_index``; the graph is
-    ``result.coloring.graph``.
+    ``result.coloring.graph``.  When two colors lie in every palette of
+    ``result.coloring``, their classes are two disjoint perfect matchings,
+    whose union is a spanning 2-regular subgraph, so the hypothesis fails
+    without the cycle-space search.  On an even graph that search exits at
+    once, more cheaply than this test, so the test runs only when some
+    degree is odd.
     """
     graph = result.coloring.graph
     if graph.n == 0:
@@ -340,7 +366,20 @@ def check_lower_bound_theorem(result: PaletteIndexResult) -> LowerBoundCheck:
     delta_min = min(graph.degrees)
     if delta_max < 2:
         return LowerBoundCheck(False, True)
+    if any(d % 2 for d in graph.degrees) and _two_colors_in_every_palette(result.coloring):
+        return LowerBoundCheck(False, True)
     exists, _ = has_spanning_even_subgraph_no_isolated(graph)
     if exists:
         return LowerBoundCheck(False, True)
     return LowerBoundCheck(True, result.s_check > delta_min)
+
+
+def _two_colors_in_every_palette(coloring: EdgeColoring) -> bool:
+    """Whether at least two colors lie in the palette of every vertex."""
+    colors = coloring.colors
+    common = set(colors.values())
+    for incident in coloring.graph.incidence:
+        common.intersection_update([colors[eid] for eid, _ in incident])
+        if len(common) < 2:
+            return False
+    return True

@@ -12,7 +12,7 @@ import pytest
 
 from palette_kit import cli, coloring, decomposition, multigraph, solver
 from palette_kit import families as fam
-from palette_kit.formats import read_graph_file
+from palette_kit.formats import decode_graph6, read_graph_file
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
 from conftest import FIG4_FRAGILE_60800, nx_line
@@ -82,6 +82,74 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
             graph, *decomposition.certify_3(graph, result.coloring)[:2]).ok,
     }
     assert applies[check]()
+
+
+def test_corpus_record_runs_no_id_order_search(monkeypatch):
+    # Iu[@?KE@W (record 14 of relabelled.g6) has s = 3 and a chi' witness
+    # with p = 4 palettes, so t = 3 and its descent search in the proof
+    # order.  The corpus reads that minimal coloring as it is: no search in
+    # edge-id order follows, and s_check and k_min are the lex-min
+    # witness's.
+    text = "Iu[@?KE@W"
+    graph = decode_graph6(text)
+    proof, id_order = solver._proof_order(graph), tuple(sorted(graph.edges))
+    assert proof != id_order
+    searches = []
+    real = solver._search
+
+    def spy(g, t, k, order):
+        searches.append((t, k, order))
+        return real(g, t, k, order)
+
+    monkeypatch.setattr(solver, "_search", spy)
+    task = (14, text, graph.n, graph.edges, cli.CHECK_NAMES, solver.PALETTE_INDEX_EDGE_CAP)
+    record = cli._corpus_record(task)
+    assert searches and all(order == proof for _, _, order in searches)
+    searches.clear()
+    canonical = solver.lex_min_witness(solver.palette_index(graph))
+    assert searches[-1] == (3, 4, id_order)
+    assert (record["s_check"], record["k_min"]) == (canonical.s_check, canonical.k_min) == (3, 4)
+
+
+# decompose and hypergraph --render on two relabelled census graphs with
+# s = 3 below the chi' witness's palette count, as printed when palette_index
+# still returned the lex-min witness.  The descent's own coloring gives other
+# certificates on both, and another hypergraph on Iu[@?KE@W.
+PRINTED_FROM_THE_LEX_MIN_WITNESS = {
+    "Iu[@?KE@W": (
+        '{"H0": [2, 4, 6, 9, 13], "H1": [7, 14], "H2": [1, 3, 10, 11], "H3": [0, 5, 8, 12], '
+        '"A": [[0, 1, 2, 5, 6, 7], [4, 8], [3, 9]], "shape": "A1A2"}\n',
+        '{"vertices": [[1, 2, 3], [1, 3, 4], [2, 3, 4]], '
+        '"hyperedges": [[0, 1], [0, 2], [0, 1, 2], [1, 2]]}\n'
+        "vertices: {1,2,3}, {1,3,4}, {2,3,4}\n"
+        "h1: {1,2,3} -- {1,3,4}\n"
+        "h2: {1,2,3} -- {2,3,4}\n"
+        "h3: {{1,2,3}, {1,3,4}, {2,3,4}}\n"
+        "h4: {1,3,4} -- {2,3,4}\n",
+    ),
+    "HelXLDb": (
+        '{"H0": null, "H1": [7, 10, 13, 14, 15, 17], "H2": [1, 3, 5, 6, 8, 9, 12, 16], '
+        '"H3": [0, 2, 4, 11], "A": [[0, 1, 3], [4], [2, 5, 6, 7, 8]], "shape": "A1A2"}\n',
+        '{"vertices": [[1, 2, 3, 4], [1, 3, 5, 6], [2, 4, 5, 6]], '
+        '"hyperedges": [[0, 1], [0, 2], [0, 1], [0, 2], [1, 2], [1, 2]]}\n'
+        "vertices: {1,2,3,4}, {1,3,5,6}, {2,4,5,6}\n"
+        "h1: {1,2,3,4} -- {1,3,5,6}\n"
+        "h2: {1,2,3,4} -- {2,4,5,6}\n"
+        "h3: {1,2,3,4} -- {1,3,5,6}\n"
+        "h4: {1,2,3,4} -- {2,4,5,6}\n"
+        "h5: {1,3,5,6} -- {2,4,5,6}\n"
+        "h6: {1,3,5,6} -- {2,4,5,6}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PRINTED_FROM_THE_LEX_MIN_WITNESS))
+def test_printing_commands_show_the_lex_min_witness(tmp_path, text):
+    path = tmp_path / "g.g6"
+    path.write_text(text + "\n")
+    certificate, hypergraph = PRINTED_FROM_THE_LEX_MIN_WITNESS[text]
+    assert run_cli(["decompose", str(path)]) == (0, certificate)
+    assert run_cli(["hypergraph", "--render", str(path)]) == (0, hypergraph)
 
 
 def test_cli_import_leaves_networkx_unloaded(mixed_file, quartic_file):
@@ -312,21 +380,27 @@ def test_chromatic_index_uses_the_given_cap(tmp_path, capsys):
 
 def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     # The first 31 edges of K9 are over the cap, so the record is skipped
-    # unsolved.  thm-lower's cycle-space cap is lowered to 0: K4 has s = 1,
-    # not above its min degree 3, and a cycle space of dimension 3, so its
+    # unsolved.  thm-lower's cycle-space cap is lowered to 0: Petersen has
+    # s = 3, not above its min degree 3, a cycle space of dimension 6, and
+    # three palettes of four colors with one color in common, so its
     # thm-lower is capped.  27 parallel edges need no cycle at all, as two
-    # of them form a spanning even subgraph.
+    # of them form a spanning even subgraph.  K4 (s = 1) has all three
+    # colors in every palette, and two of its color classes form a spanning
+    # cycle, so it passes without the cycle-space search: above the cap a
+    # report can only go from capped to pass.
     monkeypatch.setattr(multigraph, "EVEN_SUBGRAPH_DIMENSION_CAP", 0)
     k9 = [[u, v] for u in range(9) for v in range(u + 1, 9)][:31]
     k4 = [[u, v] for u in range(4) for v in range(u + 1, 4)]
+    petersen = [[u, v] for _, u, v in fam.petersen_graph().edges]
     path = tmp_path / "capped.json"
     path.write_text(json.dumps([
-        {"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27}, {"n": 4, "edges": k4},
+        {"n": 9, "edges": k9}, {"n": 2, "edges": [[0, 1]] * 27},
+        {"n": 10, "edges": petersen}, {"n": 4, "edges": k4},
     ]))
     code, out = run_cli(["corpus", "--max-edges", "30", str(path)])
     assert code == 0
     report = json.loads(out)
-    skipped, parallel, cycle = report["records"]
+    skipped, parallel, cycle, common = report["records"]
     assert skipped["error"] == "skipped: 31 edges exceed cap 30"
     assert skipped["checks"] == {name: "capped" for name in cli.CHECK_NAMES}
     assert parallel["error"] is None
@@ -335,8 +409,10 @@ def test_corpus_reports_both_capped_paths(tmp_path, monkeypatch):
     assert cycle["checks"]["thm-lower"] == "capped"
     others = {name: o for name, o in cycle["checks"].items() if name != "thm-lower"}
     assert set(others.values()) <= {"pass", "skip"}
+    assert (common["s_check"], common["min_degree"]) == (1, 3)
+    assert set(common["checks"].values()) <= {"pass", "skip"}
     for name, tally in report["tallies"].items():
-        assert sum(tally.values()) == 3
+        assert sum(tally.values()) == 4
         assert tally["capped"] == (2 if name == "thm-lower" else 1)
 
 

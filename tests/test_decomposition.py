@@ -29,6 +29,7 @@ from palette_kit import (
     extract_decomposition_3,
     induced_edge_subgraph,
     is_regular,
+    lex_min_witness,
     palette_index,
     palettes_of,
     reduce_colors,
@@ -433,8 +434,9 @@ def test_certificate_json_d2():
 
 
 def petersen_corollary_certificate():
+    # The certificate of Petersen's lex-min witness, which `decompose` prints.
     pet = fam.petersen_graph()
-    return pet, corollary(pet)[0]
+    return pet, extract_decomposition_3(lex_min_witness(palette_index(pet)).coloring)
 
 
 def b_a_c_d_path_certificate():

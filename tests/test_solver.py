@@ -16,6 +16,8 @@ from palette_kit import (
     chromatic_index,
     check_lower_bound_theorem,
     decode_graph6,
+    has_spanning_even_subgraph_no_isolated,
+    lex_min_witness,
     palette_index,
     palette_index_oracle,
     palettes_of,
@@ -110,10 +112,10 @@ def test_witness_properties(rng):
 
 def test_witness_is_lexicographically_minimal():
     # P4: minimal witnesses use 2 colors; the lex-min assignment is (1,2,1)
-    result = palette_index(fam.path_graph(4))
+    result = lex_min_witness(palette_index(fam.path_graph(4)))
     assert [result.coloring.colors[i] for i in range(3)] == [1, 2, 1]
     # C5: s=3, k_min=3; lex-min proper assignment with 3 palettes
-    result = palette_index(fam.cycle_graph(5))
+    result = lex_min_witness(palette_index(fam.cycle_graph(5)))
     assert [result.coloring.colors[i] for i in range(5)] == [1, 2, 1, 2, 3]
 
 
@@ -208,6 +210,48 @@ def test_lower_bound_examples():
     assert check_lower_bound_theorem(palette_index(fam.path_graph(4))) == (True, True)
 
 
+@st.composite
+def two_perfect_matchings_and_more(draw):
+    """A proper coloring whose colors 1 and 2 are perfect matchings, with
+    further edges in colors of their own."""
+    n = 2 * draw(st.integers(1, 4))
+    pairs, colors = [], []
+    for color in (1, 2):
+        perm = draw(st.permutations(range(n)))
+        pairs += zip(perm[::2], perm[1::2])
+        colors += [color] * (n // 2)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for extra in draw(st.lists(pair, max_size=4)):
+        pairs.append(extra)
+        colors.append(len(colors) + 3)
+    return EdgeColoring(MultiGraph.from_pairs(n, pairs), dict(enumerate(colors)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    two_perfect_matchings_and_more(),
+    multigraphs(max_n=6, max_m=8).map(lambda g: palette_index(g).coloring),
+))
+def test_two_common_colors_give_a_spanning_even_subgraph(coloring):
+    # check_lower_bound_theorem skips the cycle-space search when two colors
+    # lie in every palette; below its cap that search must then agree.
+    if solver._two_colors_in_every_palette(coloring):
+        assert has_spanning_even_subgraph_no_isolated(coloring.graph)[0]
+
+
+def test_lower_bound_check_skips_the_search_on_two_common_colors(monkeypatch):
+    # The prism (Class 1 cubic, s = 1) has all three colors in every
+    # palette; K_{1,3} and Petersen (three palettes of four colors) do not.
+    def refuse(graph):
+        raise AssertionError("cycle-space search ran")
+
+    monkeypatch.setattr(solver, "has_spanning_even_subgraph_no_isolated", refuse)
+    prism = decode_graph6("E{Sw")
+    assert check_lower_bound_theorem(palette_index(prism)) == (False, True)
+    for g in (fam.star(3), fam.petersen_graph()):
+        assert not solver._two_colors_in_every_palette(palette_index(g).coloring)
+
+
 def test_lemma_not2_small_regular():
     for g in (
         fam.complete_graph(3),
@@ -265,18 +309,36 @@ def test_search_finds_the_lex_first_coloring(g):
 @example(MultiGraph.from_pairs(5, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 4)]))
 def test_witness_is_the_lex_first_coloring_at_k_min(g):
     # Drawn ids follow draw order, which mostly differs from endpoint order,
-    # so palette_index searches once more in edge-id order; renumbered in
-    # endpoint order, it reuses the descent's last success.  Both must give the lex-first proper coloring in edge-id
-    # order with at most s_check palettes and colors up to k_min.
+    # so lex_min_witness searches once more in edge-id order; renumbered in
+    # endpoint order, it mostly keeps the descent's last success.  Both must
+    # give the lex-first proper coloring in edge-id order with at most
+    # s_check palettes and colors up to k_min.
     renumbered = MultiGraph.from_pairs(g.n, sorted((u, v) for _, u, v in g.edges))
     for graph in (g, renumbered):
-        result = palette_index(graph)
+        result = lex_min_witness(palette_index(graph))
         expected = next(
             combo for combo in proper_colorings(graph, result.k_min)
             if palette_count(graph, combo) <= result.s_check
         )
         ids = [eid for eid, _, _ in graph.edges]
         assert result.coloring.colors == dict(zip(ids, expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=6, max_m=8))
+def test_palette_index_returns_a_minimal_coloring(g):
+    # palette_index returns some minimal coloring: s_check palettes and the
+    # colors 1..k_min.  lex_min_witness keeps the numbers and returns the
+    # first such coloring in edge-id order.
+    result = palette_index(g)
+    assert len(palettes_of(result.coloring)) == result.s_check
+    assert set(result.coloring.colors.values()) == set(range(1, result.k_min + 1))
+    canonical = lex_min_witness(result)
+    assert canonical.in_id_order
+    assert (canonical.s_check, canonical.k_min, canonical.chi_prime) == (
+        result.s_check, result.k_min, result.chi_prime)
+    assert canonical.coloring.colors == _search(
+        g, result.s_check, result.k_min, tuple(sorted(g.edges)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,11 +440,11 @@ def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
     # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
     # full-budget search at t = 3 (4 searches before the filter).  Its chi'
     # witness has more than 3 palettes, so t = 3 searches in the proof order,
-    # which succeeds at k = 8; one search in edge-id order then finds the
-    # witness.
+    # which succeeds at k = 8; lex_min_witness then finds the witness with
+    # one search in edge-id order.
     searches, _ = spy_searches(monkeypatch)
     graph, expected = PINNED_PALETTE_INDEX[-1]
-    assert palette_index(graph).to_json() == expected
+    assert lex_min_witness(palette_index(graph)).to_json() == expected
     assert [(t, k) for t, k, _ in searches] == [(3, 18), (3, 8)]
     assert [order for _, _, order in searches] == [
         solver._proof_order(graph), tuple(sorted(graph.edges))]
@@ -393,9 +455,9 @@ def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
     # The chi' witness of a Class 1 regular graph has one palette, so it is
     # the t = 1 result: the search at (1, Delta) in the endpoint order would
     # return it.  On graph6 input that order is the edge-id order and no
-    # palette search runs; with the edge ids reversed (edge-list input) one
-    # search in edge-id order finds the witness.  The proof order is never
-    # built.
+    # palette search runs; with the edge ids reversed (edge-list input)
+    # lex_min_witness finds the witness with one search in edge-id order.
+    # The proof order is never built.
     graph = decode_graph6(text)
     delta = max(graph.degrees)
     reversed_ids = MultiGraph(
@@ -404,7 +466,7 @@ def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
     one_id_order_search = [(1, delta, tuple(sorted(reversed_ids.edges)))]
     for g, expected in [(graph, []), (reversed_ids, one_id_order_search)]:
         searches.clear()
-        result = palette_index(g)
+        result = lex_min_witness(palette_index(g))
         assert (result.s_check, result.k_min, result.chi_prime) == (1, delta, delta)
         assert result.coloring.colors == _search(g, 1, delta, tuple(sorted(g.edges)))
         assert searches == expected
@@ -476,4 +538,4 @@ def test_palette_index_json_is_pinned(graph, expected):
     # Strings produced by the k-ascent-per-target search that scanned every
     # k for every t (atlas-1248: by the ascent at the winning t only);
     # s_check, k_min and the lex-min witness must not move.
-    assert palette_index(graph).to_json() == expected
+    assert lex_min_witness(palette_index(graph)).to_json() == expected
