@@ -218,7 +218,9 @@ def cmd_corpus(args, out) -> int:
         # a third of the CLI's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The pool forks all its workers at the first submit: no more than
+        # there are records.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             records = list(pool.map(_corpus_record, tasks, chunksize=8))
     else:
         records = [_corpus_record(t) for t in tasks]

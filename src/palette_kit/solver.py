@@ -14,18 +14,11 @@ success bounds k_min by its largest color, and the budget descends from
 there until a search fails or it reaches chi'.
 
 Whether a search succeeds does not depend on the order in which it colors
-the edges; only its cost and the coloring it returns do.  The chi' witness
-has some p distinct palettes, so p >= s, and only targets t < p can need a
-proof of infeasibility.  Those targets, and a descent after a success at
-one of them, search in a proof order: the star order over a greedy vertex
-order, which keeps few vertices partly colored at once whatever the
-labelling.  From t = p on the search runs in the endpoint order, which is
-the edge-id order on graph6 and sparse6 input.  p only chooses an order and
-never skips a target, so no search is pruned by it.  At p = 1 the chi'
-witness is itself the t = 1 result: one palette of size d at every vertex
-makes the graph d-regular with chi' = d = Delta, every proper Delta-coloring
-then has one palette, so the t = 1 search at budget Delta would return the
-very coloring chi' found in the same order.  s = 1 is read off the
+the edges; only its cost and the coloring it returns do.  Every palette
+search runs in one proof order: the star order over a greedy vertex order,
+which keeps few vertices partly colored at once whatever the labelling.
+When the chi' witness has one palette it is itself a minimal coloring, with
+s = 1 and k_min = chi', and no palette search runs.  s = 1 is read off the
 witness's measured palette count, never inferred from "Class 1 regular".
 
 ``palette_index`` returns the descent's last success, which is a minimal
@@ -33,8 +26,7 @@ coloring: s palettes and the colors 1..k_min.  The paper's statements hold
 for every minimal coloring, so the corpus checks read that one.
 ``lex_min_witness`` gives the lexicographically smallest minimal coloring in
 edge-id order, which the commands that print a coloring (``palette-index``,
-``decompose``, ``hypergraph`` and ``fig4-witness``) show: the descent's
-coloring when it searched in edge-id order, and otherwise the result of one
+``decompose``, ``hypergraph`` and ``fig4-witness``) show: the result of one
 more search in edge-id order at (s, k_min).
 
 The kernel prunes when one palette is left: every open vertex that fits
@@ -64,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, _search, _search_order, chromatic_index, palettes_of
+from .coloring import EdgeColoring, _search, chromatic_index, palettes_of
 from .errors import ResourceLimit
 from .hypergraphs import hyperedges_of
 from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
@@ -81,9 +73,6 @@ class PaletteIndexResult(NamedTuple):
     coloring: EdgeColoring
     k_min: int
     chi_prime: int
-    # Whether ``coloring`` came from a search in edge-id order, which makes it
-    # the lex-min minimal coloring (``lex_min_witness``).
-    in_id_order: bool
 
     def to_json(self) -> str:
         ids = sorted(self.coloring.graph.edge_ids)
@@ -111,24 +100,11 @@ def palette_index(
     1..k_min.  It is some minimal coloring, not necessarily the
     lexicographically smallest one; ``lex_min_witness`` gives that.
 
-    ``_search`` returns the first coloring in its order, and the colorings
-    at budget k are among those at any larger budget.  So the descent's last
-    success, whose largest color is k, is the first coloring at budget k in
-    its search order.  That order is chosen per target from the p distinct
-    palettes of the chi' witness, which bound s from above:
-
-    - t < p searches, and a descent after a success there, run in the proof
-      order (``_proof_order``).  It is built once, the first time such a
-      target passes the chi' and parity filters.
-    - t >= p runs in the endpoint order, which is the edge-id order on every
-      graph6 and sparse6 input.
-
-    ``in_id_order`` records whether that order is the edge-id order.  p
-    decides no target: feasibility does not depend on the order.
-
-    At p = 1 no palette search runs: the chi' witness is what the t = 1
-    search at budget chi' = Delta returns (same kernel, same endpoint
-    order), so it is the result at k_min = chi'.
+    Every search runs in the proof order (``_proof_order``), built once per
+    graph; feasibility does not depend on the order.  When the chi' witness
+    has one palette, no palette search runs: no proper coloring has fewer
+    palettes or fewer colors, so it is a minimal coloring with s = 1 and
+    k_min = chi'.
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -139,28 +115,17 @@ def palette_index(
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
     if graph.m == 0:
-        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0, True)
+        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
     delta = max(graph.degrees)
     chi, witness = chromatic_index(graph)
-    # p >= s, as the chi' witness itself has p palettes.
-    p = len({witness.palette(v) for v in range(graph.n)})
-    id_order = tuple(sorted(graph.edges))
-    fast_order = _search_order(graph)
-    if p == 1:
-        # Every proper Delta-coloring here has one palette, so the t = 1
-        # search at budget chi' = Delta would return this witness.
-        return PaletteIndexResult(1, witness, chi, chi, fast_order == id_order)
-    proof_order = None
+    if len({witness.palette(v) for v in range(graph.n)}) == 1:
+        return PaletteIndexResult(1, witness, chi, chi)
+    order = _proof_order(graph)
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):
         budget = t * delta
         if budget < chi or not _parity_ok(degrees, t, budget):
             continue
-        order = fast_order
-        if t < p:
-            if proof_order is None:
-                proof_order = _proof_order(graph)
-            order = proof_order
         best = _search(graph, t, budget, order)
         if best is None:
             continue
@@ -173,7 +138,7 @@ def palette_index(
             if found is None:
                 break
             best, k = found, max(found.values())
-        return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi, order == id_order)
+        return PaletteIndexResult(t, EdgeColoring(graph, best), k, chi)
     raise AssertionError("no palette count up to n was feasible")
 
 
@@ -184,17 +149,12 @@ def lex_min_witness(result: PaletteIndexResult) -> PaletteIndexResult:
     The search in edge-id order at (s_check, k_min) returns the first
     coloring, in that order, with at most s_check palettes and colors in
     1..k_min.  It has exactly s_check palettes, since s is the least, and
-    uses every color 1..k_min, since no fewer colors admit s palettes.  A
-    result whose coloring came from a search in that order (``in_id_order``)
-    already is that coloring, the descent's last success being the first at
-    its budget, and is returned unchanged.
+    uses every color 1..k_min, since no fewer colors admit s palettes.
     """
-    if result.in_id_order:
-        return result
     graph = result.coloring.graph
     colors = _search(graph, result.s_check, result.k_min, tuple(sorted(graph.edges)))
     assert colors is not None
-    return result._replace(coloring=EdgeColoring(graph, colors), in_id_order=True)
+    return result._replace(coloring=EdgeColoring(graph, colors))
 
 
 def _proof_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:

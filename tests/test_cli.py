@@ -85,11 +85,10 @@ def test_corpus_record_solves_palette_index_once(monkeypatch, graph, check):
 
 
 def test_corpus_record_runs_no_id_order_search(monkeypatch):
-    # Iu[@?KE@W (record 14 of relabelled.g6) has s = 3 and a chi' witness
-    # with p = 4 palettes, so t = 3 and its descent search in the proof
-    # order.  The corpus reads that minimal coloring as it is: no search in
-    # edge-id order follows, and s_check and k_min are the lex-min
-    # witness's.
+    # Iu[@?KE@W (record 14 of relabelled.g6) has s = 3; every palette search
+    # runs in the proof order, which is not its edge-id order.  The corpus
+    # reads that minimal coloring as it is: no search in edge-id order
+    # follows, and s_check and k_min are the lex-min witness's.
     text = "Iu[@?KE@W"
     graph = decode_graph6(text)
     proof, id_order = solver._proof_order(graph), tuple(sorted(graph.edges))
@@ -291,6 +290,43 @@ def test_failed_write_is_one_error_line(mixed_file):
         )
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_corpus_starts_at_most_one_worker_per_record(monkeypatch, tmp_path):
+    # The pool forks all max_workers processes at its first submit, so
+    # --jobs 64 on three graphs must ask for three.  A stand-in executor
+    # records the request and maps serially: no process is started.
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    path = tmp_path / "three.g6"
+    path.write_text("Ch\nC~\nDhc\n")
+    one = run_cli(["corpus", "--jobs", "1", str(path)])
+    assert requested == []
+    assert run_cli(["corpus", "--jobs", "64", str(path)]) == one
+    assert one[0] == 0
+    assert requested == [3]
+
+
+def test_version_prints_the_package_version(capsys):
+    # argparse writes the version to sys.stdout, not to the out stream.
+    assert run_cli(["--version"]) == (0, "")
+    assert capsys.readouterr() == ("0.1.0\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -41,6 +41,7 @@ from bruteforce import (
 from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
 ATLAS = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "atlas.g6"
+RELABELLED = Path(__file__).resolve().parent / "data" / "relabelled.g6"
 
 
 def test_oracle_examples():
@@ -308,10 +309,9 @@ def test_search_finds_the_lex_first_coloring(g):
 # The descent succeeds at k = 3 below the first success's largest color 4.
 @example(MultiGraph.from_pairs(5, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 4)]))
 def test_witness_is_the_lex_first_coloring_at_k_min(g):
-    # Drawn ids follow draw order, which mostly differs from endpoint order,
-    # so lex_min_witness searches once more in edge-id order; renumbered in
-    # endpoint order, it mostly keeps the descent's last success.  Both must
-    # give the lex-first proper coloring in edge-id order with at most
+    # Drawn ids follow draw order, which mostly differs from endpoint order;
+    # renumbered in endpoint order they follow it.  Either way the witness
+    # must be the lex-first proper coloring in edge-id order with at most
     # s_check palettes and colors up to k_min.
     renumbered = MultiGraph.from_pairs(g.n, sorted((u, v) for _, u, v in g.edges))
     for graph in (g, renumbered):
@@ -334,7 +334,6 @@ def test_palette_index_returns_a_minimal_coloring(g):
     assert len(palettes_of(result.coloring)) == result.s_check
     assert set(result.coloring.colors.values()) == set(range(1, result.k_min + 1))
     canonical = lex_min_witness(result)
-    assert canonical.in_id_order
     assert (canonical.s_check, canonical.k_min, canonical.chi_prime) == (
         result.s_check, result.k_min, result.chi_prime)
     assert canonical.coloring.colors == _search(
@@ -438,10 +437,9 @@ def spy_searches(monkeypatch) -> tuple[list, list]:
 
 def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
     # Fvx~w: the filter rules out t = 2 and k = 7 at t = 3, leaving the
-    # full-budget search at t = 3 (4 searches before the filter).  Its chi'
-    # witness has more than 3 palettes, so t = 3 searches in the proof order,
-    # which succeeds at k = 8; lex_min_witness then finds the witness with
-    # one search in edge-id order.
+    # full-budget search at t = 3 (4 searches before the filter).  It
+    # searches in the proof order and succeeds at k = 8; lex_min_witness
+    # then finds the witness with one search in edge-id order.
     searches, _ = spy_searches(monkeypatch)
     graph, expected = PINNED_PALETTE_INDEX[-1]
     assert lex_min_witness(palette_index(graph)).to_json() == expected
@@ -453,38 +451,60 @@ def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
 @pytest.mark.parametrize("text", ["C~", "E{Sw"], ids=["K4", "prism"])
 def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
     # The chi' witness of a Class 1 regular graph has one palette, so it is
-    # the t = 1 result: the search at (1, Delta) in the endpoint order would
-    # return it.  On graph6 input that order is the edge-id order and no
-    # palette search runs; with the edge ids reversed (edge-list input)
-    # lex_min_witness finds the witness with one search in edge-id order.
-    # The proof order is never built.
+    # the t = 1 result and no palette search runs.  lex_min_witness finds the
+    # witness with one search in edge-id order, on graph6 input and with the
+    # edge ids reversed (edge-list input) alike.  The proof order is never
+    # built.
     graph = decode_graph6(text)
     delta = max(graph.degrees)
     reversed_ids = MultiGraph(
         graph.n, tuple((graph.m - 1 - eid, u, v) for eid, u, v in graph.edges))
     searches, built = spy_searches(monkeypatch)
-    one_id_order_search = [(1, delta, tuple(sorted(reversed_ids.edges)))]
-    for g, expected in [(graph, []), (reversed_ids, one_id_order_search)]:
+    for g in (graph, reversed_ids):
         searches.clear()
         result = lex_min_witness(palette_index(g))
         assert (result.s_check, result.k_min, result.chi_prime) == (1, delta, delta)
         assert result.coloring.colors == _search(g, 1, delta, tuple(sorted(g.edges)))
-        assert searches == expected
+        assert searches == [(1, delta, tuple(sorted(g.edges)))]
     assert built == []
 
 
 @pytest.mark.parametrize("text", ["I_`T_p`J?", "IheA@GUAo"], ids=["relabelled", "native"])
 def test_petersen_refutes_two_in_the_proof_order(monkeypatch, text):
-    # Petersen's chi' witness has 3 palettes, so t = 2 needs a refutation,
-    # which runs in the proof order.  t = 3 succeeds in id order at
-    # k = chi' = 4, and that success is the witness, so no search follows.
+    # Petersen's chi' witness has 3 palettes, so the palette search runs.
+    # t = 2 is refuted and t = 3 succeeds at k = chi' = 4, both in the proof
+    # order, so no descent follows; lex_min_witness then searches once in
+    # edge-id order at (3, 4).
     graph = decode_graph6(text)
     proof = solver._proof_order(graph)
     searches, built = spy_searches(monkeypatch)
     result = palette_index(graph)
     assert (result.s_check, result.k_min) == (3, 4)
-    assert searches == [(2, 6, proof), (3, 9, tuple(sorted(graph.edges)))]
+    assert searches == [(2, 6, proof), (3, 9, proof)]
     assert len(built) == 1
+    searches.clear()
+    lex_min_witness(result)
+    assert searches == [(3, 4, tuple(sorted(graph.edges)))]
+
+
+def test_palette_index_searches_only_in_the_proof_order(monkeypatch):
+    # Every palette search of palette_index runs in the proof order, whatever
+    # the chi' witness's palette count and whatever the labelling, and
+    # lex_min_witness makes exactly one search, in edge-id order at
+    # (s_check, k_min).  Petersen native and relabelled, then the first 50
+    # relabelled census graphs.
+    texts = ["IheA@GUAo", "I_`T_p`J?"]
+    texts += [text for text, _ in read_graph_file(str(RELABELLED))[:50]]
+    searches, _ = spy_searches(monkeypatch)
+    for text in texts:
+        graph = decode_graph6(text)
+        proof = solver._proof_order(graph)
+        searches.clear()
+        result = palette_index(graph)
+        assert all(order == proof for _, _, order in searches), text
+        searches.clear()
+        lex_min_witness(result)
+        assert searches == [(result.s_check, result.k_min, tuple(sorted(graph.edges)))], text
 
 
 @settings(max_examples=40, deadline=None)
