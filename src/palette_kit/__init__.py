@@ -52,7 +52,6 @@ from .multigraph import (
     MultiGraph,
     VertexPartition,
     connected_components,
-    degree_profile,
     disjoint_perfect_matchings,
     has_perfect_matching,
     has_spanning_even_subgraph_no_isolated,

@@ -193,10 +193,10 @@ def verify_decomposition_3(
     _require_coloring_of(graph, coloring)
     clauses: list[tuple[str, bool, str]] = []
     witnesses: dict[str, EdgeColoring] = {}
-    all_vertices = frozenset(range(graph.n))
+    covered = frozenset().union(*dec.partition.parts)
     parts = dec.parts()
     clauses.append(
-        ("partition-covers", dec.partition.union == all_vertices, "A-sets cover V(G)")
+        ("partition-covers", covered == set(range(graph.n)), "A-sets cover V(G)")
     )
     clauses.append(
         (
@@ -206,7 +206,7 @@ def verify_decomposition_3(
         )
     )
     clauses.append(
-        ("parts-present", bool(parts) or graph.m == 0, "a nonempty graph has parts")
+        ("parts-present", bool(parts) or not graph.m, "a nonempty graph has parts")
     )
     clauses.extend(_edge_partition_clauses(graph, parts))
     shape_ok = (dec.h3 is None) == (dec.shape is None) and dec.shape in (

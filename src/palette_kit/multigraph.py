@@ -121,9 +121,6 @@ class MultiGraph(FrozenValue):
             return 0
         return max(Counter((u, v) for _, u, v in self.edges).values())
 
-    def label_of(self, v: int) -> int:
-        return v if self.vertex_labels is None else self.vertex_labels[v]
-
 
 class EdgeSubset(FrozenValue):
     """A set of edge ids interpreted against a parent graph."""
@@ -155,21 +152,6 @@ class VertexPartition(FrozenValue):
                 raise MalformedInput("partition parts must be pairwise disjoint")
             union |= p
         self.__dict__["parts"] = parts
-
-    @property
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.parts:
-            out |= p
-        return frozenset(out)
-
-
-def degree_profile(graph: MultiGraph) -> tuple[int, int, tuple[int, ...]]:
-    """Return (max degree, min degree, per-vertex degrees)."""
-    deg = graph.degrees
-    if not deg:
-        return 0, 0, ()
-    return max(deg), min(deg), deg
 
 
 def is_regular(graph: MultiGraph) -> int | None:
@@ -204,7 +186,8 @@ def induced_edge_subgraph(graph: MultiGraph, subset: EdgeSubset) -> MultiGraph:
     verts = sorted(touched)
     local = {v: i for i, v in enumerate(verts)}
     edges = tuple((eid, local[u], local[v]) for eid, u, v in kept)
-    labels = tuple(graph.label_of(v) for v in verts)
+    root = graph.vertex_labels or range(graph.n)
+    labels = tuple(root[v] for v in verts)
     return MultiGraph(len(verts), edges, vertex_labels=labels)
 
 

@@ -17,9 +17,10 @@ Whether a search succeeds does not depend on the order in which it colors
 the edges; only its cost and the coloring it returns do.  Every palette
 search runs in one proof order: the star order over a greedy vertex order,
 which keeps few vertices partly colored at once whatever the labelling.
-When the chi' witness has one palette it is itself a minimal coloring, with
-s = 1 and k_min = chi', and no palette search runs.  s = 1 is read off the
-witness's measured palette count, never inferred from "Class 1 regular".
+When the chi' witness has at most one palette (none on the empty graph) it
+is itself a minimal coloring, with s = that count and k_min = chi', and no
+palette search runs.  s = 1 is read off the witness's measured palette
+count, never inferred from "Class 1 regular".
 
 ``palette_index`` returns the descent's last success, which is a minimal
 coloring: s palettes and the colors 1..k_min.  The paper's statements hold
@@ -102,9 +103,10 @@ def palette_index(
 
     Every search runs in the proof order (``_proof_order``), built once per
     graph; feasibility does not depend on the order.  When the chi' witness
-    has one palette, no palette search runs: no proper coloring has fewer
-    palettes or fewer colors, so it is a minimal coloring with s = 1 and
-    k_min = chi'.
+    has p <= 1 palettes, no palette search runs: no proper coloring has
+    fewer palettes or fewer colors, so it is a minimal coloring with s = p
+    and k_min = chi'.  That covers edgeless graphs (p = 1, or 0 without
+    vertices).
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -114,12 +116,11 @@ def palette_index(
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
-    if graph.m == 0:
-        return PaletteIndexResult(1 if graph.n else 0, EdgeColoring(graph, {}), 0, 0)
-    delta = max(graph.degrees)
     chi, witness = chromatic_index(graph)
-    if len({witness.palette(v) for v in range(graph.n)}) == 1:
-        return PaletteIndexResult(1, witness, chi, chi)
+    p = len({witness.palette(v) for v in range(graph.n)})
+    if p <= 1:
+        return PaletteIndexResult(p, witness, chi, chi)
+    delta = max(graph.degrees)
     order = _proof_order(graph)
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):
@@ -320,18 +321,14 @@ def check_lower_bound_theorem(result: PaletteIndexResult) -> LowerBoundCheck:
     degree is odd.
     """
     graph = result.coloring.graph
-    if graph.n == 0:
-        return LowerBoundCheck(False, True)
-    delta_max = max(graph.degrees)
-    delta_min = min(graph.degrees)
-    if delta_max < 2:
+    if max(graph.degrees, default=0) < 2:
         return LowerBoundCheck(False, True)
     if any(d % 2 for d in graph.degrees) and _two_colors_in_every_palette(result.coloring):
         return LowerBoundCheck(False, True)
     exists, _ = has_spanning_even_subgraph_no_isolated(graph)
     if exists:
         return LowerBoundCheck(False, True)
-    return LowerBoundCheck(True, result.s_check > delta_min)
+    return LowerBoundCheck(True, result.s_check > min(graph.degrees))
 
 
 def _two_colors_in_every_palette(coloring: EdgeColoring) -> bool:

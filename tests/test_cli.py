@@ -12,6 +12,7 @@ import pytest
 
 from palette_kit import cli, coloring, decomposition, multigraph, solver
 from palette_kit import families as fam
+from palette_kit.coloring import EdgeColoring
 from palette_kit.formats import decode_graph6, read_graph_file
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
@@ -329,6 +330,23 @@ def test_version_prints_the_package_version(capsys):
     assert capsys.readouterr() == ("0.1.0\n", "")
 
 
+def test_python_m_runs_the_cli(tmp_path):
+    # `python -m palette_kit` is the palette-kit entry point.
+    path = tmp_path / "pet.g6"
+    path.write_text("IheA@GUAo\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "palette_kit", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    version = run_module("--version")
+    assert (version.returncode, version.stdout) == (0, "0.1.0\n")
+    index = run_module("palette-index", str(path))
+    assert (index.returncode, index.stdout, index.stderr) == (
+        0, run_cli(["palette-index", str(path)])[1], "")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_corpus_report_is_identical_across_jobs(mixed_file, fmt):
     code1, out1 = run_cli(["corpus", "--format", fmt, "--jobs", "1", mixed_file])
@@ -585,7 +603,7 @@ def test_corpus_record_verifies_each_certificate_once(
 def test_corpus_builds_each_certificate_once(monkeypatch):
     # 15 of the 16 connected 4-regular graphs on 9 vertices have s = 3: one
     # certificate each, shared by thm-s3 and cor-regular3.  The one with
-    # s = 4 makes thm-s3 try (and fail) an extraction.
+    # s = 4 needs none: thm-s3 counts its coloring's palettes.
     counts = {}
 
     def counting(name):
@@ -602,7 +620,7 @@ def test_corpus_builds_each_certificate_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     assert run_cli(["corpus", QUARTIC9])[0] == 0
-    assert counts == {"extract_decomposition_3": 16, "verify_decomposition_3": 15,
+    assert counts == {"extract_decomposition_3": 15, "verify_decomposition_3": 15,
                       "synthesize_coloring_3": 15}
 
 
@@ -637,8 +655,7 @@ def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, grap
         seen.append(decomposition.decomposition3_to_json(dec))
         return dec
 
-    for module in (cli, decomposition):
-        monkeypatch.setattr(module, "extract_decomposition_3", tampered)
+    monkeypatch.setattr(decomposition, "extract_decomposition_3", tampered)
     code, out = run_cli(["corpus", "--checks", check, write_graph(tmp_path, graph)])
     assert code == 2
     record = json.loads(out)["records"][0]
@@ -674,6 +691,55 @@ def test_certificate_without_the_corollary_shape_falsifies_cor_regular3(
         "A": [[0, 1, 2, 3], [], []], "shape": None,
     }
     assert "FALSIFIED cor-regular3 on graph 0" in capsys.readouterr().err
+
+
+def test_palette_count_other_than_s_check_falsifies_the_converse_halves(
+        monkeypatch, capsys, tmp_path):
+    # K5 (s = 4) claimed at s = 5: outside their ranges thm-s2 and thm-s3
+    # check that the record's coloring has s_check palettes; it has 4.
+    real = solver.palette_index
+
+    def claims_five(graph, **kwargs):
+        return real(graph, **kwargs)._replace(s_check=5)
+
+    monkeypatch.setattr(cli, "palette_index", claims_five)
+    code, out = run_cli(["corpus", write_graph(tmp_path, fam.complete_graph(5))])
+    assert code == 2
+    record = json.loads(out)["records"][0]
+    assert {name for name, outcome in record["checks"].items()
+            if outcome == "fail"} == {"thm-s2", "thm-s3"}
+    assert record["counterexamples"] == {
+        "thm-s2": {"palettes": 4, "s_check": 5},
+        "thm-s3": {"palettes": 4, "s_check": 5},
+    }
+    falsified = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FALSIFIED")]
+    assert falsified == [
+        'FALSIFIED thm-s2 on graph 0 (D~{): {"palettes": 4, "s_check": 5}',
+        'FALSIFIED thm-s3 on graph 0 (D~{): {"palettes": 4, "s_check": 5}',
+    ]
+
+
+def test_failed_synthesis_is_a_counterexample(monkeypatch, capsys, tmp_path):
+    # A certificate whose synthesized coloring breaks thm-s3 (here one edge
+    # gets a fresh color) fails the check with the synthesis's reason; the
+    # report is still printed.
+    real = decomposition._stack
+
+    def fresh_color(graph, parts, witnesses):
+        colors = dict(real(graph, parts, witnesses).colors)
+        colors[min(colors)] = max(colors.values()) + 1
+        return EdgeColoring(graph, colors)
+
+    monkeypatch.setattr(decomposition, "_stack", fresh_color)
+    code, out = run_cli(["corpus", "--checks", "thm-s3",
+                         write_graph(tmp_path, fam.petersen_graph())])
+    assert code == 2
+    record = json.loads(out)["records"][0]
+    assert record["checks"] == {"thm-s3": "fail"}
+    assert record["counterexamples"] == {
+        "thm-s3": {"reason": "synthesized coloring exceeds three palettes"}}
+    assert "FALSIFIED thm-s3 on graph 0" in capsys.readouterr().err
 
 
 PETERSEN_G6_CERTIFICATE = (

@@ -13,7 +13,6 @@ from palette_kit import (
     ResourceLimit,
     connected_components,
     decode_graph6,
-    degree_profile,
     disjoint_perfect_matchings,
     has_perfect_matching,
     has_spanning_even_subgraph_no_isolated,
@@ -45,12 +44,6 @@ def test_parallel_edges_allowed():
     assert g.m == 2
     assert g.max_multiplicity == 2
     assert g.degrees == (2, 2)
-
-
-def test_degree_profile_examples():
-    assert degree_profile(fam.edgeless(3)) == (0, 0, (0, 0, 0))
-    assert degree_profile(fam.path_graph(4))[:2] == (2, 1)
-    assert degree_profile(fam.complete_graph(7))[:2] == (6, 6)
 
 
 def test_is_regular_examples():

@@ -209,6 +209,9 @@ def test_lower_bound_examples():
     assert check_lower_bound_theorem(palette_index(star)) == (True, True)
     assert check_lower_bound_theorem(palette_index(fam.cycle_graph(5))).applicable is False
     assert check_lower_bound_theorem(palette_index(fam.path_graph(4))) == (True, True)
+    # Max degree below 2, the empty graph included: the theorem does not apply.
+    for graph in (MultiGraph(0, ()), fam.edgeless(3), fam.path_graph(2)):
+        assert check_lower_bound_theorem(palette_index(graph)) == (False, True)
 
 
 @st.composite
@@ -467,6 +470,21 @@ def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
         assert result.coloring.colors == _search(g, 1, delta, tuple(sorted(g.edges)))
         assert searches == [(1, delta, tuple(sorted(g.edges)))]
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "graph,expected",
+    [(MultiGraph(0, ()), (0, 0, 0)), (fam.edgeless(3), (1, 0, 0))],
+    ids=["empty", "edgeless3"],
+)
+def test_edgeless_graphs_return_the_chi_prime_witness(monkeypatch, graph, expected):
+    # The chi' witness of an edgeless graph has one palette, or none without
+    # vertices, so it is the result: no palette search, no proof order.
+    searches, built = spy_searches(monkeypatch)
+    result = palette_index(graph)
+    assert (result.s_check, result.k_min, result.chi_prime) == expected
+    assert result.coloring.colors == {}
+    assert searches == [] and built == []
 
 
 @pytest.mark.parametrize("text", ["I_`T_p`J?", "IheA@GUAo"], ids=["relabelled", "native"])
