@@ -1,9 +1,16 @@
 """Proper edge colorings, exact chromatic index and palette extraction.
 
+``EdgeColoring`` builds each vertex's palette in the pass that checks
+properness and keeps them as ``vertex_palettes``; ``palette``,
+``palettes_of`` and every palette count elsewhere read them rather than
+recompute them from the colors.
+
 ``_search`` is the one backtracking kernel of both exact searches.  The
 chromatic index runs it with t = n palettes, a bound that never prunes:
 n distinct completed palettes means every vertex is complete, and with
 n - 1 of them at most one vertex is open, whose colors always fit one palette.
+Its edge order is the endpoint order unless the caller passes another, as
+``palette_index`` passes its proof order.
 """
 
 from __future__ import annotations
@@ -20,6 +27,11 @@ class EdgeColoring(FrozenValue):
     Properness (incident edges get distinct colors) is validated at
     construction, so instances are proper by invariant.  The colors are a
     dict, so a coloring compares by value but cannot be hashed.
+
+    The properness check builds ``vertex_palettes``, the tuple of each
+    vertex's palette: a vertex is proper exactly when its palette has as
+    many colors as it has edges.  It is derived from the fields, so it takes
+    no part in equality, hashing or ``repr``.
     """
 
     graph: MultiGraph
@@ -27,25 +39,23 @@ class EdgeColoring(FrozenValue):
 
     def __init__(self, graph: MultiGraph, colors):
         colors = dict(colors)
-        missing = graph.edge_ids - colors.keys()
-        if missing or colors.keys() - graph.edge_ids:
+        if colors.keys() != graph.edge_ids:
             raise ImproperColoring("assignment must be total on the edge set")
         for eid, c in colors.items():
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ImproperColoring(f"edge {eid}: color must be a positive integer")
-        for v in range(graph.n):
-            seen: set[int] = set()
-            for eid, _ in graph.incidence[v]:
-                c = colors[eid]
-                if c in seen:
-                    raise ImproperColoring(
-                        f"vertex {v}: incident edges share color {c}"
-                    )
-                seen.add(c)
-        self.__dict__.update(graph=graph, colors=colors)
+        palettes = tuple([
+            frozenset([colors[eid] for eid, _ in incident]) for incident in graph.incidence
+        ])
+        if tuple(map(len, palettes)) != graph.degrees:
+            v = next(v for v, d in enumerate(graph.degrees) if len(palettes[v]) < d)
+            seq = [colors[eid] for eid, _ in graph.incidence[v]]
+            c = next(c for i, c in enumerate(seq) if c in seq[:i])
+            raise ImproperColoring(f"vertex {v}: incident edges share color {c}")
+        self.__dict__.update(graph=graph, colors=colors, vertex_palettes=palettes)
 
     def palette(self, v: int) -> frozenset[int]:
-        return frozenset(self.colors[eid] for eid, _ in self.graph.incidence[v])
+        return self.vertex_palettes[v]
 
 
 class PaletteSystem(FrozenValue):
@@ -72,8 +82,7 @@ class PaletteSystem(FrozenValue):
 
 
 def palettes_of(coloring: EdgeColoring) -> PaletteSystem:
-    graph = coloring.graph
-    raw = [coloring.palette(v) for v in range(graph.n)]
+    raw = coloring.vertex_palettes
     distinct = sorted(set(raw), key=sorted)
     index = {p: i for i, p in enumerate(distinct)}
     return PaletteSystem(tuple(distinct), tuple(index[p] for p in raw))
@@ -216,17 +225,22 @@ class ChromaticIndexResult(NamedTuple):
     witness: EdgeColoring
 
 
-def chromatic_index(graph: MultiGraph) -> ChromaticIndexResult:
+def chromatic_index(
+    graph: MultiGraph, order: tuple[tuple[int, int, int], ...] | None = None
+) -> ChromaticIndexResult:
     """Exact chromatic index with a proper witness using that many colors.
 
     Searches upward from the maximum degree; Vizing's bound for multigraphs
     (max degree + max multiplicity) guarantees termination.  Each k is one
-    ``_search`` with t = n, which never prunes a proper k-coloring.  There is
-    no edge cap here; callers apply their own before searching.
+    ``_search`` with t = n, which never prunes a proper k-coloring.  The
+    edges are colored in ``order``, by default the endpoint order; the
+    order decides only the cost and which witness is found, never chi'.
+    There is no edge cap here; callers apply their own before searching.
     """
     delta = max(graph.degrees, default=0)
     upper = delta + graph.max_multiplicity
-    order = _search_order(graph)
+    if order is None:
+        order = _search_order(graph)
     for k in range(delta, upper + 1):
         assignment = _search(graph, graph.n, k, order)
         if assignment is not None:

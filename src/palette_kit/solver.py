@@ -14,9 +14,11 @@ success bounds k_min by its largest color, and the budget descends from
 there until a search fails or it reaches chi'.
 
 Whether a search succeeds does not depend on the order in which it colors
-the edges; only its cost and the coloring it returns do.  Every palette
-search runs in one proof order: the star order over a greedy vertex order,
-which keeps few vertices partly colored at once whatever the labelling.
+the edges; only its cost and the coloring it returns do.  The chi' search
+and every palette search run in one proof order, built once per graph: the
+star order over a greedy vertex order, which keeps few vertices partly
+colored at once whatever the labelling.  Isolated vertices carry no edge, so
+the order skips them, and their number adds only linear cost.
 When the chi' witness has at most one palette (none on the empty graph) it
 is itself a minimal coloring, with s = that count and k_min = chi', and no
 palette search runs.  s = 1 is read off the witness's measured palette
@@ -101,12 +103,12 @@ def palette_index(
     1..k_min.  It is some minimal coloring, not necessarily the
     lexicographically smallest one; ``lex_min_witness`` gives that.
 
-    Every search runs in the proof order (``_proof_order``), built once per
-    graph; feasibility does not depend on the order.  When the chi' witness
-    has p <= 1 palettes, no palette search runs: no proper coloring has
-    fewer palettes or fewer colors, so it is a minimal coloring with s = p
-    and k_min = chi'.  That covers edgeless graphs (p = 1, or 0 without
-    vertices).
+    chi' and every palette search run in the proof order (``_proof_order``),
+    built once per graph; neither chi' nor feasibility depends on the order.
+    When the chi' witness has p <= 1 palettes, no palette search runs: no
+    proper coloring has fewer palettes or fewer colors, so it is a minimal
+    coloring with s = p and k_min = chi'.  That covers edgeless graphs
+    (p = 1, or 0 without vertices).
 
     The parity filter ``_parity_ok`` gives two lower bounds from the degree
     multiset alone: a target t whose full budget it rejects is skipped, and
@@ -116,12 +118,12 @@ def palette_index(
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
-    chi, witness = chromatic_index(graph)
-    p = len({witness.palette(v) for v in range(graph.n)})
+    order = _proof_order(graph)
+    chi, witness = chromatic_index(graph, order)
+    p = len(set(witness.vertex_palettes))
     if p <= 1:
         return PaletteIndexResult(p, witness, chi, chi)
     delta = max(graph.degrees)
-    order = _proof_order(graph)
     degrees = tuple(sorted(graph.degrees))
     for t in range(1, graph.n + 1):
         budget = t * delta
@@ -165,25 +167,27 @@ def _proof_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:
     The next vertex is the one with the most edges to the vertices already
     taken; ties go to the one most recently linked to them, then to the
     lowest label.  That keeps few vertices partly colored at once, so the
-    kernel's palette bounds act early whatever the labelling.
+    kernel's palette bounds act early whatever the labelling.  Isolated
+    vertices carry no edge and take no part, so the cost is linear in
+    their number.
     """
-    n = graph.n
-    links = [0] * n
-    linked_at = [-1] * n
-    rank = [-1] * n
-    for step in range(n):
-        x = max(
-            (y for y in range(n) if rank[y] < 0),
-            key=lambda y: (links[y], linked_at[y], -y),
-        )
+    # Per open vertex (links to taken vertices, step of the last link,
+    # -label), updated per link; the label makes the largest key name its
+    # vertex.
+    key = {x: (0, -1, -x) for x, incident in enumerate(graph.incidence) if incident}
+    rank: dict[int, int] = {}
+    for step in range(len(key)):
+        x = -max(key.values())[2]
+        del key[x]
         rank[x] = step
         for _, y in graph.incidence[x]:
-            if rank[y] < 0:
-                links[y] += 1
-                linked_at[y] = step
+            if y in key:
+                key[y] = (key[y][0] + 1, step, -y)
+    # Sorted by (lower rank, higher rank, id); conditionals stand in for
+    # min and max, which cost a builtin call each.
     return tuple(sorted(
         graph.edges,
-        key=lambda e: (min(rank[e[1]], rank[e[2]]), max(rank[e[1]], rank[e[2]]), e[0]),
+        key=lambda e: (a, b, e[0]) if (a := rank[e[1]]) < (b := rank[e[2]]) else (b, a, e[0]),
     ))
 
 
@@ -333,10 +337,9 @@ def check_lower_bound_theorem(result: PaletteIndexResult) -> LowerBoundCheck:
 
 def _two_colors_in_every_palette(coloring: EdgeColoring) -> bool:
     """Whether at least two colors lie in the palette of every vertex."""
-    colors = coloring.colors
-    common = set(colors.values())
-    for incident in coloring.graph.incidence:
-        common.intersection_update([colors[eid] for eid, _ in incident])
+    common = set(coloring.colors.values())
+    for palette in coloring.vertex_palettes:
+        common &= palette
         if len(common) < 2:
             return False
     return True

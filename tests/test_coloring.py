@@ -25,12 +25,15 @@ from conftest import random_multigraph, random_proper_coloring, random_simple_gr
 
 def test_coloring_validates_properness():
     p3 = fam.path_graph(3)
-    with pytest.raises(ImproperColoring):
-        EdgeColoring(p3, {0: 1, 1: 1})
-    with pytest.raises(ImproperColoring):
-        EdgeColoring(p3, {0: 1})
-    with pytest.raises(ImproperColoring):
-        EdgeColoring(p3, {0: 1, 1: 0})
+    for colors, message in [
+        ({0: 1, 1: 1}, "vertex 1: incident edges share color 1"),
+        ({0: 1}, "assignment must be total on the edge set"),
+        ({0: 1, 1: 2, 2: 1}, "assignment must be total on the edge set"),
+        ({0: 1, 1: 0}, "edge 1: color must be a positive integer"),
+    ]:
+        with pytest.raises(ImproperColoring) as raised:
+            EdgeColoring(p3, colors)
+        assert str(raised.value) == message
 
 
 def test_coloring_parallel_edges_must_differ():
@@ -83,6 +86,18 @@ def test_palette_sizes_match_degrees(rng):
         coloring = random_proper_coloring(rng, g)
         for v in range(g.n):
             assert len(coloring.palette(v)) == g.degrees[v]
+
+
+def test_vertex_palettes_are_the_palettes_of_the_colors(rng):
+    # The constructor builds each palette in its properness pass; they must
+    # be the palettes recomputed from the colors, and stay out of repr.
+    for _ in range(40):
+        g = random_multigraph(rng, rng.randrange(2, 8), rng.randrange(0, 12))
+        coloring = random_proper_coloring(rng, g, spread=rng.randrange(0, 3))
+        assert coloring.vertex_palettes == tuple(
+            frozenset(coloring.colors[eid] for eid, _ in g.incidence[v]) for v in range(g.n))
+        assert all(coloring.palette(v) == coloring.vertex_palettes[v] for v in range(g.n))
+        assert "vertex_palettes" not in repr(coloring)
 
 
 def test_vertex_classes_partition(rng):

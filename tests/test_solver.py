@@ -17,6 +17,7 @@ from palette_kit import (
     check_lower_bound_theorem,
     decode_graph6,
     has_spanning_even_subgraph_no_isolated,
+    is_regular,
     lex_min_witness,
     palette_index,
     palette_index_oracle,
@@ -269,6 +270,26 @@ def test_lemma_not2_small_regular():
         assert palette_index(g).s_check != 2
 
 
+def test_complete_graphs_match_the_literature():
+    # Hornak, Kalinowski, Meszka and Wozniak, Graphs Combin. 30 (2014):
+    # s(K_n) is 1 for even n, 3 for n = 3 (mod 4) and 4 for n = 1 (mod 4).
+    values = [palette_index(fam.complete_graph(n)).s_check for n in range(2, 9)]
+    assert values == [1, 3, 1, 4, 1, 3, 1]
+
+
+def test_class2_regular_fixtures_lie_in_the_literature_range():
+    # The same paper: a Class 2 r-regular graph has 3 <= s <= r + 1.  A test,
+    # not a corpus check, so the corpus report is unchanged.
+    count = 0
+    for census in ("cubic10", "cubic12", "quartic9", "quartic10"):
+        for _, g in read_graph_file(str(ATLAS.with_name(f"{census}.g6"))):
+            r, result = is_regular(g), palette_index(g)
+            if result.chi_prime == r + 1:
+                count += 1
+                assert 3 <= result.s_check <= r + 1, census
+    assert count == 24
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(max_n=6, max_m=8, min_m=1))
 def test_full_budget_search_decides_each_target(g):
@@ -451,25 +472,30 @@ def test_parity_filter_skips_searches_on_atlas_1248(monkeypatch):
         solver._proof_order(graph), tuple(sorted(graph.edges))]
 
 
-@pytest.mark.parametrize("text", ["C~", "E{Sw"], ids=["K4", "prism"])
+@pytest.mark.parametrize(
+    "text", ["C~", "E{Sw", "IEJS@ObQ_"], ids=["K4", "prism", "relabelled-cubic10"])
 def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
     # The chi' witness of a Class 1 regular graph has one palette, so it is
     # the t = 1 result and no palette search runs.  lex_min_witness finds the
     # witness with one search in edge-id order, on graph6 input and with the
-    # edge ids reversed (edge-list input) alike.  The proof order is never
-    # built.
+    # edge ids reversed (edge-list input) alike.  The proof order is built
+    # once per graph, and chi' is searched in it: on record 0 of
+    # relabelled.g6 that gives another witness than the endpoint order.
     graph = decode_graph6(text)
     delta = max(graph.degrees)
     reversed_ids = MultiGraph(
         graph.n, tuple((graph.m - 1 - eid, u, v) for eid, u, v in graph.edges))
+    proofs = [solver._proof_order(g) for g in (graph, reversed_ids)]
     searches, built = spy_searches(monkeypatch)
-    for g in (graph, reversed_ids):
+    for g, proof in zip((graph, reversed_ids), proofs):
         searches.clear()
-        result = lex_min_witness(palette_index(g))
+        found = palette_index(g)
+        assert found.coloring == chromatic_index(g, proof).witness
+        result = lex_min_witness(found)
         assert (result.s_check, result.k_min, result.chi_prime) == (1, delta, delta)
         assert result.coloring.colors == _search(g, 1, delta, tuple(sorted(g.edges)))
         assert searches == [(1, delta, tuple(sorted(g.edges)))]
-    assert built == []
+    assert built == [graph, reversed_ids]
 
 
 @pytest.mark.parametrize(
@@ -479,12 +505,20 @@ def test_class1_regular_graph_searches_once_in_id_order(monkeypatch, text):
 )
 def test_edgeless_graphs_return_the_chi_prime_witness(monkeypatch, graph, expected):
     # The chi' witness of an edgeless graph has one palette, or none without
-    # vertices, so it is the result: no palette search, no proof order.
+    # vertices, so it is the result: no palette search, and the proof order
+    # is built once, for chi'.
     searches, built = spy_searches(monkeypatch)
     result = palette_index(graph)
     assert (result.s_check, result.k_min, result.chi_prime) == expected
     assert result.coloring.colors == {}
-    assert searches == [] and built == []
+    assert searches == [] and built == [graph]
+
+
+def test_isolated_vertices_cost_linear_time():
+    # The proof order skips isolated vertices, so a graph of 200,000 of them
+    # (a 27-byte edge-list file) is answered without a quadratic pass.
+    result = palette_index(MultiGraph(200_000, ()))
+    assert (result.s_check, result.k_min, result.chi_prime) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("text", ["I_`T_p`J?", "IheA@GUAo"], ids=["relabelled", "native"])
