@@ -196,9 +196,81 @@ def _emit(out, text: str) -> None:
         out.write("\n")
 
 
+def _share(tasks, w: int, jobs: int):
+    """Records of tasks[w::jobs], up to the first that raises, and its error."""
+    records = []
+    try:
+        for task in tasks[w::jobs]:
+            records.append(_corpus_record(task))
+    except Exception as exc:
+        return records, exc
+    return records, None
+
+
+def _run_records(tasks, jobs: int) -> list[dict]:
+    """The corpus records of tasks, in task order, from jobs processes.
+
+    Worker w computes tasks[w::jobs].  This process is worker 0; each other
+    worker is a forked child that pickles its share to its own pipe.  When
+    records raise, the error of the first of them in task order is raised,
+    as in a serial run.  Every child is reaped before this returns or
+    raises; a child that is not yet reaped when this raises is killed first.
+    """
+    if jobs <= 1:
+        return [_corpus_record(t) for t in tasks]
+    import pickle
+    import signal
+
+    children = {}  # worker -> (pid, pipe reader), until reaped
+    try:
+        for w in range(1, jobs):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # Leave without the parent's exit handlers and without
+                # flushing its buffered output a second time.
+                code = 1
+                try:
+                    os.close(reader)
+                    with open(writer, "wb") as sink:
+                        sink.write(pickle.dumps(_share(tasks, w, jobs)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(writer)
+            children[w] = (pid, open(reader, "rb"))
+        shares = [_share(tasks, 0, jobs)]
+        for w in range(1, jobs):
+            pid, source = children[w]
+            with source:
+                data = source.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if code:
+                # Killed, or it left before its pickle was written whole.
+                raise PaletteKitError(
+                    f"corpus worker {w} ended without sending its records (exit status {code})"
+                )
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, source in children.values():
+            source.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [(w + len(done) * jobs, exc) for w, (done, exc) in enumerate(shares) if exc]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    records = [None] * len(tasks)
+    for w, (done, _) in enumerate(shares):
+        records[w::jobs] = done
+    return records
+
+
 def cmd_corpus(args, out) -> int:
     if args.jobs < 1:
         raise MalformedInput(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise MalformedInput("--jobs above 1 needs os.fork, which this platform lacks")
     checks = args.checks.split(",") if args.checks else list(CHECK_NAMES)
     for name in checks:
         if name not in CHECKS:
@@ -208,18 +280,7 @@ def cmd_corpus(args, out) -> int:
         (i, text, g.n, tuple(g.edges), tuple(checks), args.max_edges)
         for i, (text, g) in enumerate(graphs)
     ]
-    if args.jobs > 1 and len(tasks) > 1:
-        # Imported here, so that a --jobs 1 run never loads the pool's
-        # modules (multiprocessing, logging, socket, pickle), about
-        # a third of the CLI's import time.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The pool forks all its workers at the first submit: no more than
-        # there are records.
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            records = list(pool.map(_corpus_record, tasks, chunksize=8))
-    else:
-        records = [_corpus_record(t) for t in tasks]
+    records = _run_records(tasks, min(args.jobs, len(tasks)))
     tallies = {
         name: {"pass": 0, "fail": 0, "skip": 0, "capped": 0} for name in checks
     }

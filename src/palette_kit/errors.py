@@ -22,6 +22,11 @@ class ResourceLimit(PaletteKitError):
         self.size = size
         self.cap = cap
 
+    def __reduce__(self):
+        # The default rebuilds from the message; a corpus worker sends this
+        # error to its parent by pickle.
+        return type(self), (self.what, self.size, self.cap)
+
 
 class ImproperColoring(PaletteKitError):
     """Incident edges share a color, or the assignment is not total."""
@@ -52,6 +57,9 @@ class InvalidCertificate(PaletteKitError):
         super().__init__(msg)
         self.clause = clause
         self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.clause, self.detail)
 
 
 class NotRegular(PaletteKitError):

@@ -4,13 +4,15 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from palette_kit import cli, coloring, decomposition, multigraph, solver
+from palette_kit import cli, coloring, decomposition, errors, multigraph, solver
 from palette_kit import families as fam
 from palette_kit.coloring import EdgeColoring
 from palette_kit.formats import decode_graph6, read_graph_file
@@ -178,9 +180,9 @@ def test_cli_import_leaves_networkx_unloaded(mixed_file, quartic_file):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded(mixed_file):
-    # Neither importing the CLI nor a --jobs 1 corpus loads the process pool
-    # or dataclasses (whose import pulls in inspect); --jobs 2 imports the
-    # pool and prints the --jobs 1 bytes.
+    # Neither importing the CLI nor a corpus run, with --jobs 1 or with
+    # forked workers, loads a process pool or dataclasses (whose import pulls
+    # in inspect); --jobs 2 prints the --jobs 1 bytes.
     script = (
         "import io, sys\n"
         "import palette_kit.cli as cli\n"
@@ -190,7 +192,7 @@ def test_cli_import_leaves_the_process_pool_unloaded(mixed_file):
         "assert cli.cli_main(['corpus', '--jobs', '1', sys.argv[1]], one) == 0\n"
         "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
         "assert cli.cli_main(['corpus', '--jobs', '2', sys.argv[1]], two) == 0\n"
-        "assert 'concurrent.futures' in sys.modules\n"
+        "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
         "assert two.getvalue() == one.getvalue()\n"
         "sys.stdout.write(one.getvalue())\n"
     )
@@ -293,35 +295,144 @@ def test_failed_write_is_one_error_line(mixed_file):
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+def fork_spy(monkeypatch):
+    """The pids that os.fork returned to this process, in fork order.  In a
+    child, the list holds the pids of the children forked before it."""
+    forked = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
+
+
+def assert_reaped(pids):
+    # waitpid raises ChildProcessError once a child has been reaped.
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_corpus_starts_at_most_one_worker_per_record(monkeypatch, tmp_path):
-    # The pool forks all max_workers processes at its first submit, so
-    # --jobs 64 on three graphs must ask for three.  A stand-in executor
-    # records the request and maps serially: no process is started.
-    import concurrent.futures
-
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # This process computes a share too, so --jobs 64 on three graphs forks
+    # two children, and --jobs 1 forks none.
+    forked = fork_spy(monkeypatch)
     path = tmp_path / "three.g6"
     path.write_text("Ch\nC~\nDhc\n")
     one = run_cli(["corpus", "--jobs", "1", str(path)])
-    assert requested == []
+    assert forked == []
     assert run_cli(["corpus", "--jobs", "64", str(path)]) == one
     assert one[0] == 0
-    assert requested == [3]
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_palette_kit_errors_survive_pickling():
+    # A corpus worker sends a record's error to its parent by pickle: the
+    # type, the message and the attributes must all arrive.
+    args = {
+        errors.ResourceLimit: ("edge count", 31, 30),
+        errors.InvalidCertificate: ("A-sets partition", "vertex 3 twice"),
+    }
+    pending, seen = [errors.PaletteKitError], []
+    while pending:
+        cls = pending.pop()
+        seen.append(cls)
+        pending.extend(cls.__subclasses__())
+        exc = cls(*args.get(cls, ("some message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+    assert set(args) <= set(seen)
+
+
+def raise_on(monkeypatch, failures):
+    """Make the corpus record of each task index in failures raise its error."""
+    real = cli._corpus_record
+
+    def record(task):
+        if task[0] in failures:
+            raise failures[task[0]]
+        return real(task)
+
+    monkeypatch.setattr(cli, "_corpus_record", record)
+
+
+def test_a_raising_record_reads_the_same_under_every_jobs(monkeypatch, capsys, mixed_file):
+    # Records 3 and 4 raise.  With two jobs, record 3 is a child's and
+    # record 4 this process's; either way the first in task order is
+    # reported, as with one job.
+    raise_on(monkeypatch, {
+        3: errors.InvalidCertificate("A-sets partition", "vertex 3 twice"),
+        4: errors.ResourceLimit("edge count", 31, 30),
+    })
+    outcomes = []
+    for jobs in ("1", "2", "3"):
+        outcomes.append((run_cli(["corpus", "--jobs", jobs, mixed_file]), capsys.readouterr().err))
+    assert outcomes == [(
+        (1, ""),
+        "error: certificate clause failed: A-sets partition (vertex 3 twice)\n",
+    )] * 3
+
+
+def test_a_dead_worker_is_one_error_line(monkeypatch, capsys, mixed_file):
+    # The first child leaves without sending its records, and the second
+    # would run for a minute: it is killed, and both are reaped.
+    forked = fork_spy(monkeypatch)
+    parent, real = os.getpid(), cli._corpus_record
+
+    def record(task):
+        if os.getpid() == parent:
+            return real(task)
+        if not forked:
+            os._exit(3)
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_corpus_record", record)
+    start = time.monotonic()
+    assert run_cli(["corpus", "--jobs", "3", mixed_file]) == (1, "")
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == (
+        "error: corpus worker 1 ended without sending its records (exit status 3)\n"
+    )
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_an_interrupted_corpus_kills_its_workers(monkeypatch, mixed_file):
+    # Ctrl-C in this process while the children still work: no child is
+    # left running.
+    forked = fork_spy(monkeypatch)
+    parent = os.getpid()
+
+    def record(task):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_corpus_record", record)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["corpus", "--jobs", "2", mixed_file])
+    assert time.monotonic() - start < 30
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_jobs_without_fork_are_an_input_error(monkeypatch, capsys, mixed_file):
+    # Where os.fork is missing, --jobs 2 is refused rather than run serially.
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(["corpus", "--jobs", "2", mixed_file]) == (1, "")
+    assert capsys.readouterr().err == (
+        "input error: --jobs above 1 needs os.fork, which this platform lacks\n"
+    )
+    assert run_cli(["corpus", "--jobs", "1", mixed_file])[0] == 0
 
 
 def test_version_prints_the_package_version(capsys):
