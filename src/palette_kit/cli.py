@@ -49,6 +49,8 @@ from .solver import (
 CSV_HEADER = (
     "index,input,n,m,max_degree,min_degree,chi_prime,class,s_check,k_min"
 )
+# corpus --jobs N forks N - 1 processes at once; a larger N is refused.
+MAX_JOBS = 64
 
 
 def _check_lemma_not2(graph, ctx):
@@ -269,6 +271,8 @@ def _run_records(tasks, jobs: int) -> list[dict]:
 def cmd_corpus(args, out) -> int:
     if args.jobs < 1:
         raise MalformedInput(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise MalformedInput(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise MalformedInput("--jobs above 1 needs os.fork, which this platform lacks")
     checks = args.checks.split(",") if args.checks else list(CHECK_NAMES)

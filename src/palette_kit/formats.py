@@ -41,14 +41,16 @@ def _decode_n(data: str, pos: int) -> tuple[int, int]:
     return n, pos + 8
 
 
-def _bits_of(data: str, pos: int) -> list[int]:
-    bits: list[int] = []
-    for ch in data[pos:]:
-        x = ord(ch) - 63
-        if not 0 <= x <= 63:
-            raise MalformedInput(f"byte {ch!r} outside printable range")
-        bits.extend(x >> s & 1 for s in (5, 4, 3, 2, 1, 0))
-    return bits
+# Each printable byte 63..126 as the six bits it stores, most significant first.
+_SIX_BITS = {chr(63 + x): format(x, "06b") for x in range(64)}
+
+
+def _bits_of(data: str, pos: int) -> str:
+    """The bits of data[pos:] as a string of '0' and '1'."""
+    try:
+        return "".join([_SIX_BITS[ch] for ch in data[pos:]])
+    except KeyError as exc:
+        raise MalformedInput(f"byte {exc.args[0]!r} outside printable range") from None
 
 
 def decode_graph6(line: str) -> MultiGraph:
@@ -65,15 +67,18 @@ def decode_graph6(line: str) -> MultiGraph:
             f"graph6 body has {len(data) - pos} bytes, expected {nbytes} for n={n}"
         )
     bits = _bits_of(data, pos)
-    if any(bits[need:]):
+    if "1" in bits[need:]:
         raise MalformedInput("nonzero padding bits in graph6 data")
+    # Column j holds the pairs (i, j), i < j, at bits j(j-1)/2 + i.
     pairs = []
-    k = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                pairs.append((i, j))
-            k += 1
+        end = start + j
+        k = bits.find("1", start, end)
+        while k >= 0:
+            pairs.append((k - start, j))
+            k = bits.find("1", k + 1, end)
+        start = end
     pairs.sort()
     return MultiGraph.from_pairs(n, pairs)
 
@@ -93,13 +98,10 @@ def decode_sparse6(line: str) -> MultiGraph:
     v = 0
     i = 0
     while i + k < len(bits):
-        b = bits[i]
-        x = 0
-        for t in range(i + 1, i + 1 + k):
-            x = x << 1 | bits[t]
-        i += 1 + k
-        if b:
+        if bits[i] == "1":
             v += 1
+        x = int(bits[i + 1:i + 1 + k], 2)
+        i += 1 + k
         if v >= n or x >= n:
             break
         if x > v:

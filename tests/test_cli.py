@@ -332,6 +332,16 @@ def test_corpus_starts_at_most_one_worker_per_record(monkeypatch, tmp_path):
     assert_reaped(forked)
 
 
+def test_jobs_above_the_cap_are_refused_before_any_fork(monkeypatch, capsys, mixed_file):
+    # --jobs above the cap is an input error, raised before any fork and
+    # whatever the record count.
+    forked = fork_spy(monkeypatch)
+    assert cli.MAX_JOBS == 64
+    assert run_cli(["corpus", "--jobs", "65", mixed_file]) == (1, "")
+    assert capsys.readouterr().err == "input error: --jobs must be at most 64, got 65\n"
+    assert forked == []
+
+
 def test_palette_kit_errors_survive_pickling():
     # A corpus worker sends a record's error to its parent by pickle: the
     # type, the message and the attributes must all arrive.

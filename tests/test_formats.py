@@ -3,6 +3,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 
 import networkx as nx
 import pytest
@@ -124,6 +125,14 @@ def test_sparse6_loop_rejected():
     # loop at 1; build it manually: bits 1 1 1111 -> value 0b111111 = chr(126)
     with pytest.raises(LoopRejected):
         decode_sparse6(":A~")
+
+
+@pytest.mark.parametrize("body", [":B_!", ":B_\x7f", ":B!\x7f"], ids=["below", "above", "two"])
+def test_sparse6_rejects_out_of_range_byte(body):
+    # The message names the first byte outside 63..126.
+    bad = next(ch for ch in body[2:] if not 63 <= ord(ch) <= 126)
+    with pytest.raises(MalformedInput, match=f"^byte {re.escape(repr(bad))} outside printable range$"):
+        decode_sparse6(body)
 
 
 def test_sparse6_requires_colon():

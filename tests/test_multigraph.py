@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeSubset,
@@ -23,7 +24,12 @@ from palette_kit import (
 from palette_kit import families as fam
 from palette_kit import multigraph
 
-from bruteforce import bf_has_perfect_matching, bf_has_spanning_even_subgraph, bf_perfect_matchings
+from bruteforce import (
+    bf_has_perfect_matching,
+    bf_has_spanning_even_subgraph,
+    bf_ordered_perfect_matchings,
+    bf_perfect_matchings,
+)
 from conftest import FIG4_FRAGILE_60800, multigraphs, random_multigraph, random_simple_graph
 
 
@@ -154,6 +160,24 @@ def test_disjoint_perfect_matchings_against_bruteforce(g):
         assert frozenset(first) in matchings and frozenset(second) in matchings
         assert first == tuple(sorted(first)) and second == tuple(sorted(second))
         assert set(first).isdisjoint(second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matchings_come_in_the_plain_search_order(data):
+    # The memo and the neighbour check cut only branches without a perfect
+    # matching, so the search yields what a plain search of G − A yields,
+    # in the same order; the disjoint pair is the plain search's first M
+    # for which G − M has a perfect matching, with the first such matching.
+    g = data.draw(multigraphs(max_n=8, max_m=16))
+    avoid = data.draw(st.sets(st.sampled_from(sorted(g.edge_ids)))) if g.m else set()
+    assert list(perfect_matchings(g, avoid=avoid)) == bf_ordered_perfect_matchings(g, avoid)
+    expected = next(
+        ((first, rest[0]) for first in bf_ordered_perfect_matchings(g)
+         if (rest := bf_ordered_perfect_matchings(g, set(first)))),
+        None,
+    )
+    assert disjoint_perfect_matchings(g) == expected
 
 
 def test_disjoint_perfect_matchings_examples():
