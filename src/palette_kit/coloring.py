@@ -10,7 +10,10 @@ chromatic index runs it with t = n palettes, a bound that never prunes:
 n distinct completed palettes means every vertex is complete, and with
 n - 1 of them at most one vertex is open, whose colors always fit one palette.
 Its edge order is the endpoint order unless the caller passes another, as
-``palette_index`` passes its proof order.
+``palette_index`` passes its proof order.  The kernel reads each vertex's
+closing position off the edge order once per search.  It visits the same
+nodes in the same order, and returns the same coloring, as the reference
+copy in ``tests/frozen.py``, which counts uncolored edges at every node.
 """
 
 from __future__ import annotations
@@ -121,13 +124,27 @@ def _search(
     ends, with the lookahead's (d, union of masks) passed down the recursion.
     Completed palettes are indexed by size, which is their vertices' degree,
     so the fit test scans only the palettes an open vertex could end with.
+
+    ``order`` holds every edge once.  A vertex is open after position i
+    exactly when its last edge in the order comes later, so ``closing``
+    (that position, per vertex) replaces counts of uncolored edges, and a
+    sweep walks the tuple of vertices open after i, built the first time a
+    sweep at i needs it.  The edge's two ends are completed inline, with
+    one flag each for the undo instead of a list per color try, and a color
+    is written to the result only on the way back from a success.  None of
+    this changes a decision, so the search visits the same nodes in the
+    same order, and returns the same coloring, as one that counts.
     """
     n = graph.n
     deg = graph.degrees
     if k_budget < max(deg, default=0):
         return None
     masks = [0] * n
-    rem = list(deg)
+    closing = [-1] * n  # isolated vertices are never open
+    for i, (_, u, v) in enumerate(order):
+        closing[u] = closing[v] = i
+    m = len(order)
+    opened: list[tuple[int, ...] | None] = [None] * m
     completed: dict[int, int] = {}  # palette bitmask -> vertex multiplicity
     sized: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     isolated = sum(1 for d in deg if d == 0)
@@ -135,17 +152,15 @@ def _search(
         completed[0] = isolated
         if t < 1:
             return None
-    m = len(order)
-    assignment: dict[int, int] = {}
+    # Keyed in the order, so the result lists the edges as they are colored.
+    assignment = dict.fromkeys([eid for eid, _, _ in order])
 
     def rec(i: int, maxused: int, d: int, union: int) -> bool:
         if i == m:
             return True
         eid, u, v = order[i]
         mu0, mv0 = masks[u], masks[v]
-        ru, rv = rem[u] - 1, rem[v] - 1
-        rem[u], rem[v] = ru, rv
-        closes = ru == 0 or rv == 0
+        cu, cv = closing[u] == i, closing[v] == i
         # Each branch restores the completed palettes before the next color.
         before = len(completed)
         # The colors 1..min(maxused + 1, k_budget) free at both ends, lowest
@@ -160,37 +175,46 @@ def _search(
             mu = mu0 | bit
             mv = mv0 | bit
             masks[u], masks[v] = mu, mv
-            # Entries of deeper edges left by failed branches are overwritten
-            # before any success reads them.
-            assignment[eid] = c
+            # Whether u's and v's palettes were counted in ``completed``.
+            au = av = False
             ok = True
-            count = before
-            if closes:
-                added: list[int] = []
-                for x, mx in ((u, mu), (v, mv)):
-                    if rem[x] == 0:
-                        cnt = completed.get(mx)
-                        if cnt is None:
-                            if len(completed) == t:
-                                ok = False
-                                break
-                            completed[mx] = 1
-                            sized[deg[x]].append(mx)
-                        else:
-                            completed[mx] = cnt + 1
-                        added.append(mx)
-                count = len(completed)
+            if cu:
+                cnt = completed.get(mu)
+                if cnt is not None:
+                    completed[mu] = cnt + 1
+                    au = True
+                elif len(completed) < t:
+                    completed[mu] = 1
+                    sized[deg[u]].append(mu)
+                    au = True
+                else:
+                    ok = False
+            if cv and ok:
+                cnt = completed.get(mv)
+                if cnt is not None:
+                    completed[mv] = cnt + 1
+                    av = True
+                elif len(completed) < t:
+                    completed[mv] = 1
+                    sized[deg[v]].append(mv)
+                    av = True
+                else:
+                    ok = False
+            count = len(completed)
             nd, nunion = d, union
             if ok and count >= t - 1:
                 # Open vertices that fit no completed palette must all end
                 # with the one palette left, or there is none left for them.
                 last = count == t
                 if count > before or d < 0:
-                    xs, nd, nunion = range(n), 0, 0
+                    xs = opened[i]
+                    if xs is None:
+                        xs = opened[i] = tuple([x for x in range(n) if closing[x] > i])
+                    nd = nunion = 0
                 else:
                     xs = (u, v)
                 for x in xs:
-                    if rem[x]:
+                    if closing[x] > i:
                         mx, dx = masks[x], deg[x]
                         for p in sized[dx]:
                             if mx & p == mx:
@@ -204,16 +228,21 @@ def _search(
                 if nunion.bit_count() > nd:
                     ok = False
             if ok and rec(i + 1, c if c > maxused else maxused, nd, nunion):
+                assignment[eid] = c
                 return True
-            if closes:
-                for mx in reversed(added):
-                    if completed[mx] == 1:
-                        del completed[mx]
-                        sized[mx.bit_count()].pop()
-                    else:
-                        completed[mx] -= 1
+            if av:
+                if completed[mv] == 1:
+                    del completed[mv]
+                    sized[deg[v]].pop()
+                else:
+                    completed[mv] -= 1
+            if au:
+                if completed[mu] == 1:
+                    del completed[mu]
+                    sized[deg[u]].pop()
+                else:
+                    completed[mu] -= 1
         masks[u], masks[v] = mu0, mv0
-        rem[u], rem[v] = ru + 1, rv + 1
         return False
 
     # d = -1 asks the first node for a full sweep, as the root state is unchecked.

@@ -2,7 +2,11 @@
 reduction.
 
 The palette index is the minimum number of distinct palettes over all proper
-edge colorings.  The search tests target palette counts t = 1, 2, 3, ...;
+edge colorings.  A vertex's palette has as many colors as the vertex has
+edges, so vertices of different degrees never share one, and the palette
+index is at least the number of distinct degrees (the empty palette of
+isolated vertices included).  This follows from the definition alone, not
+from the paper.  The search tests the target palette counts t from there up;
 for each t it suffices to consider at most t * Delta colors, because every
 used color lies in some palette and the union of at most t palettes has at
 most t * Delta colors.  A coloring with colors in 1..k also has its colors in
@@ -110,11 +114,14 @@ def palette_index(
     coloring with s = p and k_min = chi'.  That covers edgeless graphs
     (p = 1, or 0 without vertices).
 
-    The parity filter ``_parity_ok`` gives two lower bounds from the degree
-    multiset alone: a target t whose full budget it rejects is skipped, and
-    the descent stops at the least budget it accepts.  It only skips
-    searches that would fail, so the result is the same without it.  On a
-    regular graph of odd order it alone rules out t = 2.
+    Targets start at the number of distinct degrees, since vertices of
+    different degrees never share a palette; the parity filter would reject
+    every lower t anyway.  That filter, ``_parity_ok``, gives two lower
+    bounds from the degree multiset alone: a target t whose full budget it
+    rejects is skipped, and the descent stops at the least budget it
+    accepts.  It only skips searches that would fail, so the result is the
+    same without it.  On a regular graph of odd order it alone rules out
+    t = 2.
     """
     if graph.m > max_edges:
         raise ResourceLimit("edge count", graph.m, max_edges)
@@ -125,7 +132,8 @@ def palette_index(
         return PaletteIndexResult(p, witness, chi, chi)
     delta = max(graph.degrees)
     degrees = tuple(sorted(graph.degrees))
-    for t in range(1, graph.n + 1):
+    # Vertices of different degrees never share a palette.
+    for t in range(len(set(degrees)), graph.n + 1):
         budget = t * delta
         if budget < chi or not _parity_ok(degrees, t, budget):
             continue
@@ -214,19 +222,28 @@ def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
     if degrees[-1] > k:
         return False
     budget = t - (degrees[0] == 0)
-    counts = sorted(Counter(d for d in degrees if d).items(), reverse=True)
+    counts = _degree_classes(degrees)
     # Every other degree needs at least one palette.
     top = budget - (len(counts) - 1)
     choices = product(*(range(n_d % 2, min(n_d, top) + 1, 2) for _, n_d in counts))
     for tried, odd in enumerate(choices):
         if tried >= PARITY_EFFORT_CAP:
             return True
-        if sum(max(o, 1) for o in odd) > budget:
+        # A degree with no odd class still needs one palette.
+        if sum(odd) + odd.count(0) > budget:
             continue
         rows = [d for (d, _), o in zip(counts, odd) for _ in range(o)]
         if not rows or _odd_cover(rows, k):
             return True
     return False
+
+
+@lru_cache(maxsize=1 << 10)
+def _degree_classes(degrees: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (d, n_d) pairs of the nonzero degrees in a sorted degree
+    multiset, largest d first: the classes ``_parity_ok`` reads on every
+    target and budget of one graph."""
+    return tuple(sorted(Counter(d for d in degrees if d).items(), reverse=True))
 
 
 def _odd_cover(rows: list[int], cols: int) -> bool:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeColoring,
@@ -17,10 +19,13 @@ from palette_kit import (
 )
 from palette_kit import cli
 from palette_kit import families as fam
+from palette_kit.coloring import _search, _search_order
 from palette_kit.formats import encode_edge_list_json
+from palette_kit.solver import _proof_order
 
+import frozen
 from bruteforce import bf_chromatic_index
-from conftest import random_multigraph, random_proper_coloring, random_simple_graph
+from conftest import multigraphs, random_multigraph, random_proper_coloring, random_simple_graph
 
 
 def test_coloring_validates_properness():
@@ -222,3 +227,23 @@ def test_chromatic_index_json_is_pinned(tmp_path, graph, expected):
 @pytest.mark.parametrize("graph", [g for g, _ in PINNED_CHROMATIC_INDEX], ids=PINNED_IDS)
 def test_palette_index_reports_the_chromatic_index(graph):
     assert palette_index(graph).chi_prime == chromatic_index(graph).chi_prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_matches_the_counting_kernel(data):
+    # The kernel reads closing positions off the order where the frozen copy
+    # counts uncolored edges; both must return the same dict, in the same
+    # key order, or None for every target, budget and edge order.  A drawn
+    # graph may have isolated vertices and parallel edges, and its edge ids
+    # follow the draw order.
+    g = data.draw(multigraphs(max_n=7, max_m=10))
+    shuffled = tuple(data.draw(st.permutations(g.edges)))
+    delta = max(g.degrees)
+    for order in (_search_order(g), _proof_order(g), tuple(sorted(g.edges)), shuffled):
+        for t in range(g.n + 1):
+            for k in range(max(delta - 1, 0), t * delta + 1):
+                found, expected = _search(g, t, k, order), frozen._search(g, t, k, order)
+                assert found == expected, (t, k, order)
+                if found is not None:
+                    assert list(found) == list(expected)

@@ -30,6 +30,7 @@ from palette_kit.coloring import _search_order
 from palette_kit import solver
 from palette_kit.solver import _parity_ok, _search
 
+import frozen
 from bruteforce import (
     bf_min_palettes,
     bf_min_palettes_with_colors,
@@ -439,6 +440,42 @@ def test_parity_filter_answers_feasible_past_its_cap(monkeypatch):
         assert not _parity_ok((1, 2, 2, 2, 2, 3), 6, 2)  # Delta > k needs no search
     finally:
         _parity_ok.cache_clear()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=9),
+    st.integers(0, 10),
+    st.integers(0, 16),
+)
+def test_parity_filter_matches_the_frozen_filter(degrees, t, k):
+    # The degree classes come from a cache and the palettes are counted as
+    # sum(odd) + odd.count(0); the verdict must be the frozen copy's.
+    degrees = tuple(sorted(degrees))
+    assert _parity_ok(degrees, t, k) == frozen._parity_ok(degrees, t, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=7, max_m=10))
+def test_targets_start_at_the_number_of_distinct_degrees(g):
+    # Vertices of different degrees never share a palette, so palette_index
+    # neither searches nor asks the filter about a lower target.
+    targets = []
+
+    def filtered(degrees, t, k):
+        targets.append(t)
+        return _parity_ok(degrees, t, k)
+
+    def searched(graph, t, k, order):
+        targets.append(t)
+        return _search(graph, t, k, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_parity_ok", filtered)
+        mp.setattr(solver, "_search", searched)
+        result = palette_index(g)
+    assert all(t >= len(set(g.degrees)) for t in targets)
+    assert result.s_check >= len(set(g.degrees))
 
 
 def spy_searches(monkeypatch) -> tuple[list, list]:
