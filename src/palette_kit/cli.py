@@ -340,15 +340,23 @@ def _load_single(path: str, max_edges: int) -> MultiGraph:
     return graph
 
 
+def _scan(graphs: list):
+    """Each (text, graph) of graphs, in order, dropping its slot of the list
+    as it is handed out: a scan holds one graph and the tables it cached."""
+    for i, item in enumerate(graphs):
+        graphs[i] = None
+        yield item
+
+
 def cmd_palette_index(args, out) -> int:
-    for _, graph in read_graph_file(args.file):
+    for _, graph in _scan(read_graph_file(args.file)):
         result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
         _emit(out, result.to_json())
     return 0
 
 
 def cmd_chromatic_index(args, out) -> int:
-    for _, graph in read_graph_file(args.file):
+    for _, graph in _scan(read_graph_file(args.file)):
         if graph.m > args.max_edges:
             raise ResourceLimit("edge count", graph.m, args.max_edges)
         res = chromatic_index(graph)
@@ -422,10 +430,9 @@ def _all_perfect_matchings(graph: MultiGraph) -> list[frozenset[int]]:
 def cmd_fig4_witness(args, out) -> int:
     """Scan a 4-regular census for a graph with palette index 3, a perfect
     matching, and no two edge-disjoint perfect matchings."""
-    graphs = read_graph_file(args.file)
     searched = 0
     sizes: set[int] = set()
-    for index, (text, graph) in enumerate(graphs):
+    for index, (text, graph) in enumerate(_scan(read_graph_file(args.file))):
         if is_regular(graph) != 4 or not is_connected(graph):
             continue
         searched += 1

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import json
 
-from .errors import LoopRejected, MalformedInput
+from .errors import LoopRejected, MalformedInput, ResourceLimit
 from .multigraph import MultiGraph
 
 GRAPH6_HEADER = ">>graph6<<"
 SPARSE6_HEADER = ">>sparse6<<"
+
+
+# Every reader refuses a stated vertex count above this before it builds
+# anything per vertex: nine sparse6 bytes can state n = 2^36 - 1.
+MAX_VERTICES = 1 << 16
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ResourceLimit("vertex count", n, MAX_VERTICES)
 
 
 def _decode_n(data: str, pos: int) -> tuple[int, int]:
@@ -30,15 +40,13 @@ def _decode_n(data: str, pos: int) -> tuple[int, int]:
 
     if val(pos) < 63:
         return val(pos), pos + 1
-    if val(pos + 1) < 63:
-        n = 0
-        for i in range(pos + 1, pos + 4):
-            n = n << 6 | val(i)
-        return n, pos + 4
+    # 18 bits after one 126 byte, 36 bits after two.
+    start, width = (pos + 1, 3) if val(pos + 1) < 63 else (pos + 2, 6)
     n = 0
-    for i in range(pos + 2, pos + 8):
+    for i in range(start, start + width):
         n = n << 6 | val(i)
-    return n, pos + 8
+    _check_vertex_count(n)
+    return n, start + width
 
 
 # Each printable byte 63..126 as the six bits it stores, most significant first.
@@ -127,6 +135,7 @@ def decode_edge_list_json(payload: str | bytes | dict) -> MultiGraph:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise MalformedInput("field 'n' must be a nonnegative integer")
+    _check_vertex_count(n)
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise MalformedInput("field 'edges' must be a list of pairs")

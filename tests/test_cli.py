@@ -9,13 +9,14 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
 from palette_kit import cli, coloring, decomposition, errors, multigraph, solver
 from palette_kit import families as fam
 from palette_kit.coloring import EdgeColoring
-from palette_kit.formats import decode_graph6, read_graph_file
+from palette_kit.formats import MAX_VERTICES, decode_graph6, read_graph_file
 from palette_kit.multigraph import EdgeSubset, MultiGraph
 
 from conftest import FIG4_FRAGILE_60800, nx_line
@@ -257,6 +258,39 @@ def test_fig4_witness_enumerates_no_matchings_without_a_fragile_graph(monkeypatc
     monkeypatch.setattr(cli, "_all_perfect_matchings", refuse)
     code, out = run_cli(["fig4-witness", os.path.join(ROOT, "bench", "fixtures", "quartic10.g6")])
     assert (code, out) == (0, '{"found": false, "searched": 59, "vertex_counts": [10]}\n')
+
+
+@pytest.mark.parametrize(
+    "command,examine",
+    [("fig4-witness", "is_regular"), ("palette-index", "palette_index"),
+     ("chromatic-index", "chromatic_index")],
+)
+def test_scans_hold_one_graph_at_a_time(monkeypatch, tmp_path, command, examine):
+    # When a graph is examined, at most one earlier graph is still alive:
+    # the previous result's coloring holds its graph until it is replaced.
+    path = tmp_path / "census.g6"
+    path.write_text("\n".join(QUARTIC * 3) + "\n")
+    seen, alive = [], []
+    real = getattr(cli, examine)
+
+    def spy(graph, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in seen))
+        seen.append(weakref.ref(graph))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(cli, examine, spy)
+    assert run_cli([command, str(path)])[0] == 0
+    assert len(seen) == 3 * len(QUARTIC)
+    assert max(alive) <= 1
+
+
+def test_a_vertex_count_above_the_cap_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps({"n": MAX_VERTICES + 1, "edges": []}))
+    assert run_cli(["palette-index", str(path)]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: vertex count is {MAX_VERTICES + 1}, which exceeds the cap of {MAX_VERTICES}\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["corpus", "verify"])

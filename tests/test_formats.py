@@ -14,6 +14,7 @@ from palette_kit import (
     LoopRejected,
     MalformedInput,
     MultiGraph,
+    ResourceLimit,
     decode_edge_list_json,
     decode_graph6,
     decode_sparse6,
@@ -21,6 +22,7 @@ from palette_kit import (
     read_graph_file,
 )
 from palette_kit import families as fam
+from palette_kit.formats import MAX_VERTICES
 
 from conftest import multigraphs, nx_line, random_simple_graph
 
@@ -138,6 +140,36 @@ def test_sparse6_rejects_out_of_range_byte(body):
 def test_sparse6_requires_colon():
     with pytest.raises(MalformedInput):
         decode_sparse6("D?{")
+
+
+def size_field(n):
+    """The graph6/sparse6 size bytes of n in the 18-bit form, 63 <= n < 2^18."""
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
+@pytest.mark.parametrize(
+    "decode,text,n",
+    [
+        # Nine bytes state n = 2^36 - 1.  Without the cap a command would
+        # build per-vertex tables that long, so only the decoder sees it.
+        (decode_sparse6, ":~~~~~~~~", (1 << 36) - 1),
+        (decode_sparse6, ":" + size_field(MAX_VERTICES + 1), MAX_VERTICES + 1),
+        (decode_graph6, size_field(MAX_VERTICES + 1), MAX_VERTICES + 1),
+        (decode_edge_list_json, json.dumps({"n": MAX_VERTICES + 1, "edges": []}), MAX_VERTICES + 1),
+    ],
+    ids=["sparse6-36-bit", "sparse6", "graph6", "json"],
+)
+def test_readers_refuse_a_vertex_count_above_the_cap(decode, text, n):
+    with pytest.raises(ResourceLimit) as err:
+        decode(text)
+    assert (err.value.what, err.value.size, err.value.cap) == ("vertex count", n, MAX_VERTICES)
+
+
+def test_readers_accept_a_vertex_count_at_the_cap():
+    graph = decode_sparse6(":" + size_field(MAX_VERTICES))
+    assert (graph.n, graph.m) == (MAX_VERTICES, 0)
+    graph = decode_edge_list_json({"n": MAX_VERTICES, "edges": [[0, MAX_VERTICES - 1]]})
+    assert (graph.n, graph.m) == (MAX_VERTICES, 1)
 
 
 def test_edge_list_json_multigraph():
