@@ -46,9 +46,9 @@ from .solver import (
     palette_index,
 )
 
-CSV_HEADER = (
-    "index,input,n,m,max_degree,min_degree,chi_prime,class,s_check,k_min"
-)
+# The report's columns between the quoted input and the checks.
+CSV_FIELDS = ("n", "m", "max_degree", "min_degree", "chi_prime", "class", "s_check", "k_min")
+CSV_HEADER = ",".join(("index", "input") + CSV_FIELDS)
 # corpus --jobs N forks N - 1 processes at once; a larger N is refused.
 MAX_JOBS = 64
 
@@ -217,13 +217,12 @@ def _run_records(tasks, jobs: int) -> list[dict]:
     records raise, the error of the first of them in task order is raised,
     as in a serial run.  Every child is reaped before this returns or
     raises; a child that is not yet reaped when this raises is killed first.
+    With one job nothing is forked, and pickle and signal stay unimported.
     """
-    if jobs <= 1:
-        return [_corpus_record(t) for t in tasks]
-    import pickle
-    import signal
-
     children = {}  # worker -> (pid, pipe reader), until reaped
+    if jobs > 1:
+        import pickle
+        import signal
     try:
         for w in range(1, jobs):
             reader, writer = os.pipe()
@@ -284,7 +283,7 @@ def cmd_corpus(args, out) -> int:
         (i, text, g.n, tuple(g.edges), tuple(checks), args.max_edges)
         for i, (text, g) in enumerate(graphs)
     ]
-    records = _run_records(tasks, min(args.jobs, len(tasks)))
+    records = _run_records(tasks, max(1, min(args.jobs, len(tasks))))
     tallies = {
         name: {"pass": 0, "fail": 0, "skip": 0, "capped": 0} for name in checks
     }
@@ -302,18 +301,8 @@ def cmd_corpus(args, out) -> int:
     else:
         lines = [CSV_HEADER + "," + ",".join(checks) + ",error"]
         for r in records:
-            row = [
-                str(r["index"]),
-                '"' + r["input"].replace('"', '""') + '"',
-                str(r["n"]),
-                str(r["m"]),
-                str(r.get("max_degree", "")),
-                str(r.get("min_degree", "")),
-                str(r.get("chi_prime", "")),
-                str(r.get("class", "")),
-                str(r.get("s_check", "")),
-                str(r.get("k_min", "")),
-            ]
+            row = [str(r["index"]), '"' + r["input"].replace('"', '""') + '"']
+            row.extend(str(r.get(field, "")) for field in CSV_FIELDS)
             row.extend(r["checks"].get(name, "") for name in checks)
             row.append('"' + (r["error"] or "").replace('"', '""') + '"')
             lines.append(",".join(row))

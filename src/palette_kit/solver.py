@@ -217,12 +217,13 @@ def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
     Palettes need not be distinct, so this only relaxes the search's
     condition.  After ``PARITY_EFFORT_CAP`` choices of the o_d it answers
     True, which is sound.  The verdict is monotone in k: a spare column of
-    zeros has an even sum, and the choices tried do not depend on k.
+    zeros has an even sum, and the choices tried do not depend on k.  Each
+    cache miss counts the (d, n_d) pairs of the nonzero degrees itself.
     """
     if degrees[-1] > k:
         return False
     budget = t - (degrees[0] == 0)
-    counts = _degree_classes(degrees)
+    counts = sorted(Counter(d for d in degrees if d).items(), reverse=True)
     # Every other degree needs at least one palette.
     top = budget - (len(counts) - 1)
     choices = product(*(range(n_d % 2, min(n_d, top) + 1, 2) for _, n_d in counts))
@@ -236,14 +237,6 @@ def _parity_ok(degrees: tuple[int, ...], t: int, k: int) -> bool:
         if not rows or _odd_cover(rows, k):
             return True
     return False
-
-
-@lru_cache(maxsize=1 << 10)
-def _degree_classes(degrees: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The (d, n_d) pairs of the nonzero degrees in a sorted degree
-    multiset, largest d first: the classes ``_parity_ok`` reads on every
-    target and budget of one graph."""
-    return tuple(sorted(Counter(d for d in degrees if d).items(), reverse=True))
 
 
 def _odd_cover(rows: list[int], cols: int) -> bool:

@@ -183,7 +183,8 @@ def test_cli_import_leaves_networkx_unloaded(mixed_file, quartic_file):
 def test_cli_import_leaves_the_process_pool_unloaded(mixed_file):
     # Neither importing the CLI nor a corpus run, with --jobs 1 or with
     # forked workers, loads a process pool or dataclasses (whose import pulls
-    # in inspect); --jobs 2 prints the --jobs 1 bytes.
+    # in inspect), and --jobs 1 loads neither pickle nor signal, which only
+    # forking needs; --jobs 2 prints the --jobs 1 bytes.
     script = (
         "import io, sys\n"
         "import palette_kit.cli as cli\n"
@@ -192,6 +193,7 @@ def test_cli_import_leaves_the_process_pool_unloaded(mixed_file):
         "one, two = io.StringIO(), io.StringIO()\n"
         "assert cli.cli_main(['corpus', '--jobs', '1', sys.argv[1]], one) == 0\n"
         "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
+        "assert not {'pickle', 'signal'} & sys.modules.keys()\n"
         "assert cli.cli_main(['corpus', '--jobs', '2', sys.argv[1]], two) == 0\n"
         "assert not heavy & sys.modules.keys(), sorted(heavy & sys.modules.keys())\n"
         "assert two.getvalue() == one.getvalue()\n"
@@ -502,20 +504,44 @@ def test_python_m_runs_the_cli(tmp_path):
         0, run_cli(["palette-index", str(path)])[1], "")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_corpus_report_is_identical_across_jobs(mixed_file, fmt):
-    code1, out1 = run_cli(["corpus", "--format", fmt, "--jobs", "1", mixed_file])
-    code2, out2 = run_cli(["corpus", "--format", fmt, "--jobs", "2", mixed_file])
+@pytest.mark.parametrize(
+    "fmt, census",
+    [("json", MIXED), ("csv", MIXED), ("json", []), ("csv", [])],
+    ids=["json", "csv", "json-empty", "csv-empty"],
+)
+def test_corpus_report_is_identical_across_jobs(monkeypatch, tmp_path, fmt, census):
+    # --jobs 2 forks one child, or none for an empty census, which has no
+    # records to share out, and prints the --jobs 1 bytes.
+    forked = fork_spy(monkeypatch)
+    path = tmp_path / "census.g6"
+    path.write_text("".join(text + "\n" for text in census))
+    code1, out1 = run_cli(["corpus", "--format", fmt, "--jobs", "1", str(path)])
+    code2, out2 = run_cli(["corpus", "--format", fmt, "--jobs", "2", str(path)])
     assert code1 == code2 == 0
     assert out1 == out2
+    assert len(forked) == (1 if census else 0)
     if fmt == "json":
         report = json.loads(out1)
-        assert len(report["records"]) == len(MIXED)
+        assert len(report["records"]) == len(census)
         assert all(t["fail"] == 0 and t["capped"] == 0 for t in report["tallies"].values())
     else:
         lines = out1.splitlines()
         assert lines[0].startswith(cli.CSV_HEADER)
-        assert len(lines) == 1 + len(MIXED)
+        assert len(lines) == 1 + len(census)
+
+
+def test_corpus_csv_bytes_are_pinned(tmp_path):
+    # P4 solved, and Petersen capped at 12 edges with its quoted error and
+    # empty solve columns.
+    path = tmp_path / "two.g6"
+    path.write_text("Ch\nIheA@GUAo\n")
+    assert run_cli(["corpus", "--format", "csv", "--max-edges", "12", str(path)]) == (0, (
+        "index,input,n,m,max_degree,min_degree,chi_prime,class,s_check,k_min,"
+        "lemma-not2,thm-cubic,thm-lower,thm-s2,thm-s3,cor-regular3,error\n"
+        '0,"Ch",4,3,2,1,2,1,2,2,skip,skip,pass,pass,pass,skip,""\n'
+        '1,"IheA@GUAo",10,15,3,3,,,,,capped,capped,capped,capped,capped,capped,'
+        '"skipped: 15 edges exceed cap 12"\n'
+    ))
 
 
 @pytest.mark.parametrize(
