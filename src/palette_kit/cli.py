@@ -275,9 +275,11 @@ def cmd_corpus(args, out) -> int:
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise MalformedInput("--jobs above 1 needs os.fork, which this platform lacks")
     checks = args.checks.split(",") if args.checks else list(CHECK_NAMES)
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in CHECKS:
             raise MalformedInput(f"unknown check {name!r}; choose from {','.join(CHECK_NAMES)}")
+        if name in checks[:i]:
+            raise MalformedInput(f"check {name!r} is named twice in --checks")
     graphs = read_graph_file(args.file)
     tasks = [
         (i, text, g.n, tuple(g.edges), tuple(checks), args.max_edges)

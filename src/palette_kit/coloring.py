@@ -105,10 +105,9 @@ def _search(
     """Find a proper coloring with <= t distinct palettes and colors from
     {1..k_budget}, exploring canonical colorings (fresh colors in order).
 
-    A budget below the maximum degree admits no proper coloring, so it fails
-    up front.  From the maximum degree up, a vertex with j colored edges has
-    k_budget - j >= its uncolored edges free colors, so the loop over colors
-    needs no budget test.
+    A budget below the maximum degree needs no early exit: a vertex of
+    larger degree runs out of free colors at its own edges, and the search
+    fails there.
 
     Palettes of completed vertices are final, so their distinct count is a
     lower bound on the final palette count; once it reaches t, every
@@ -122,6 +121,11 @@ def _search(
     Both rules are checked incrementally: a sweep of every open vertex when
     the set of completed palettes changes, otherwise only the edge's two
     ends, with the lookahead's (d, union of masks) passed down the recursion.
+    That state starts empty, so the first node checks only its two ends.
+    This is exact as every package call passes t >= the number of distinct
+    degrees: the first node has t - 1 completed palettes without completing
+    one only when t <= 1, or t <= 2 with isolated vertices, so every open
+    vertex has one degree, and only u and v hold a color.
     Completed palettes are indexed by size, which is their vertices' degree,
     so the fit test scans only the palettes an open vertex could end with.
 
@@ -137,8 +141,6 @@ def _search(
     """
     n = graph.n
     deg = graph.degrees
-    if k_budget < max(deg, default=0):
-        return None
     masks = [0] * n
     closing = [-1] * n  # isolated vertices are never open
     for i, (_, u, v) in enumerate(order):
@@ -206,7 +208,7 @@ def _search(
                 # Open vertices that fit no completed palette must all end
                 # with the one palette left, or there is none left for them.
                 last = count == t
-                if count > before or d < 0:
+                if count > before:
                     xs = opened[i]
                     if xs is None:
                         xs = opened[i] = tuple([x for x in range(n) if closing[x] > i])
@@ -245,8 +247,7 @@ def _search(
         masks[u], masks[v] = mu0, mv0
         return False
 
-    # d = -1 asks the first node for a full sweep, as the root state is unchecked.
-    return dict(assignment) if rec(0, 0, -1, 0) else None
+    return dict(assignment) if rec(0, 0, 0, 0) else None
 
 
 class ChromaticIndexResult(NamedTuple):

@@ -228,14 +228,10 @@ def perfect_matchings(
     covered vertex set that led to no matching is remembered and never
     expanded again, and an edge v–w is skipped when it leaves an uncovered
     neighbour of v or w with no uncovered neighbour of its own (neighbour
-    bitmasks, built once per call without the avoided edges).  Exact and
-    exponential in the worst case: the package passes cubic and 4-regular
-    graphs on at most 16 vertices, but on K15,17, dense and without a
-    perfect matching, this search takes about a second (1.1 s of CPU on a
-    shared 2-core machine, 0.6 s without the neighbour check, which costs
-    more than it cuts on such a graph).  ``has_perfect_matching`` answers
-    K15,17 without it, from the sizes of its sides; a blossom algorithm
-    would be polynomial on every graph.
+    bitmasks, built once per call without the avoided edges).  Exact, and
+    exponential on a dense graph without a perfect matching; the package
+    passes cubic and 4-regular graphs on at most 16 vertices, and a blossom
+    algorithm would be polynomial on every graph.
     """
     n = graph.n
     if n % 2:
@@ -288,27 +284,8 @@ def has_perfect_matching(graph: MultiGraph) -> tuple[bool, tuple[int, ...] | Non
     """Decide whether a perfect matching exists; return a verified witness.
 
     The witness is the first of ``perfect_matchings``: edge ids, pairwise
-    vertex-disjoint and covering every vertex.  A component of odd order,
-    or a bipartite one whose sides differ in size, has no perfect matching,
-    so one two-coloring pass answers False for it without that search.
+    vertex-disjoint and covering every vertex.
     """
-    side = [-1] * graph.n
-    for start in range(graph.n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        sizes, bipartite, stack = [1, 0], True, [start]
-        while stack:
-            x = stack.pop()
-            for _, y in graph.incidence[x]:
-                if side[y] < 0:
-                    side[y] = 1 - side[x]
-                    sizes[side[y]] += 1
-                    stack.append(y)
-                elif side[y] == side[x]:
-                    bipartite = False
-        if (sizes[0] + sizes[1]) % 2 or (bipartite and sizes[0] != sizes[1]):
-            return False, None
     witness = next(perfect_matchings(graph), None)
     if witness is None:
         return False, None

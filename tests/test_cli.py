@@ -544,6 +544,18 @@ def test_corpus_csv_bytes_are_pinned(tmp_path):
     ))
 
 
+def test_corpus_reaches_thm_cubic_without_a_perfect_matching(tmp_path):
+    # No committed census holds a connected cubic graph without a perfect
+    # matching; this one is Class 2 with s = 4, thm-cubic's last branch.
+    path = tmp_path / "npm.g6"
+    path.write_text("OB^_??B?{E?????@_?{?K\n")
+    code, out = run_cli(["corpus", str(path)])
+    (record,) = json.loads(out)["records"]
+    assert code == 0
+    assert (record["s_check"], record["chi_prime"], record["class"]) == (4, 4, 2)
+    assert record["checks"] == dict.fromkeys(cli.CHECK_NAMES, "pass")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -551,6 +563,7 @@ def test_corpus_csv_bytes_are_pinned(tmp_path):
         ["corpus", "--jobs", "-3"],
         ["corpus", "--max-edges", "-5"],
         ["palette-index", "--max-edges", "-1"],
+        ["corpus", "--checks", "thm-s2,thm-s2"],
     ],
 )
 def test_invalid_caps_and_jobs_are_rejected(capsys, mixed_file, argv):
@@ -1028,6 +1041,38 @@ def test_cubic_classify_rejects_a_noncubic_graph(tmp_path, capsys):
     code, out = run_cli(["cubic-classify", write_graph(tmp_path, fam.cycle_graph(5))])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "error: classify_cubic requires a 3-regular graph\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose"], ["verify", "--certificate", "unread.json"], ["hypergraph"], ["cubic-classify"]],
+    ids=["decompose", "verify", "hypergraph", "cubic-classify"],
+)
+def test_single_graph_commands_reject_an_empty_file(tmp_path, capsys, argv):
+    # The graph file is read first, so the certificate is never opened.
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code, out = run_cli([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"input error: {path} contains no graphs\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,err",
+    [
+        ("decompose", "D~{", "error: coloring induces 4 palettes, need at most 3\n"),
+        ("cubic-classify", "G~?GW[", "error: classify_cubic requires a connected graph\n"),
+    ],
+    ids=["decompose-k5", "cubic-classify-2k4"],
+)
+def test_single_graph_commands_reject_a_graph_outside_their_theorem(
+        tmp_path, capsys, command, text, err):
+    # K5 has palette index 4; 2K4 is cubic but not connected.
+    path = tmp_path / "g.g6"
+    path.write_text(text + "\n")
+    code, out = run_cli([command, str(path)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
