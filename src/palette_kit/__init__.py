@@ -11,18 +11,14 @@ from .coloring import (
 )
 from .decomposition import (
     ClauseReport,
-    Decomposition2,
     Decomposition3,
     classify_cubic,
-    decomposition2_to_json,
     decomposition3_to_json,
     decomposition_from_json,
-    extract_decomposition_2,
     extract_decomposition_3,
     regular_corollary_check,
-    synthesize_coloring_2,
     synthesize_coloring_3,
-    verify_decomposition_2,
+    two_palette_check,
     verify_decomposition_3,
 )
 from .errors import (

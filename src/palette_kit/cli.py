@@ -17,19 +17,15 @@ import sys
 from . import __version__
 from .coloring import chromatic_index, palettes_of
 from .decomposition import (
-    Decomposition3,
     certify_3,
     classify_cubic,
-    decomposition2_to_json,
     decomposition3_to_json,
     decomposition_from_json,
-    extract_decomposition_2,
     regular_corollary_check,
-    synthesize_coloring_2,
-    verify_decomposition_2,
+    two_palette_check,
     verify_decomposition_3,
 )
-from .errors import MalformedInput, PaletteKitError, ResourceLimit
+from .errors import MalformedInput, NotTwoPalettes, PaletteKitError, ResourceLimit
 from .hypergraphs import associated_hypergraph
 from .multigraph import (
     MultiGraph,
@@ -93,24 +89,24 @@ def _palette_count(result):
     return "fail", {"palettes": palettes, "s_check": result.s_check}
 
 
-def _check_thm_s2(graph, ctx):
-    result = ctx["result"]
-    if result.s_check != 2:
-        return _palette_count(result)
-    dec = extract_decomposition_2(result.coloring)
-    report = verify_decomposition_2(graph, dec, result.coloring)
-    if not report.ok:
-        return "fail", {"clauses": report.failures(), "certificate": decomposition2_to_json(dec)}
-    # Synthesis asserts that the coloring it builds has two palettes.
-    synthesize_coloring_2(graph, dec, report)
-    return "pass", None
-
-
 def _certificate(graph, ctx):
-    """The record's ``certify_3``, built once for thm-s3 and cor-regular3."""
+    """The record's ``certify_3``, built once for thm-s2, thm-s3 and
+    cor-regular3."""
     if "certificate" not in ctx:
         ctx["certificate"] = certify_3(graph, ctx["result"].coloring)
     return ctx["certificate"]
+
+
+def _check_thm_s2(graph, ctx):
+    if ctx["result"].s_check != 2:
+        return _palette_count(ctx["result"])
+    dec, report, synth = _certificate(graph, ctx)
+    report = two_palette_check(graph, dec, report)
+    if not report.ok:
+        return "fail", {"clauses": report.failures(), "certificate": decomposition3_to_json(dec)}
+    if len(palettes_of(synth)) != 2:
+        return "fail", {"reason": "synthesized coloring does not have two palettes"}
+    return "pass", None
 
 
 def _check_thm_s3(graph, ctx):
@@ -362,16 +358,19 @@ def cmd_chromatic_index(args, out) -> int:
 
 def cmd_decompose(args, out) -> int:
     graph = _load_single(args.file, args.max_edges)
-    result = lex_min_witness(palette_index(graph, max_edges=args.max_edges))
-    # Extraction does not check its result; never print a failing certificate.
+    coloring = lex_min_witness(palette_index(graph, max_edges=args.max_edges)).coloring
+    palettes = len(palettes_of(coloring))
+    if args.target == 2 and palettes != 2:
+        raise NotTwoPalettes(f"coloring induces {palettes} palettes, need 2")
+    dec, report, _ = certify_3(graph, coloring)
+    text = decomposition3_to_json(dec)
     if args.target == 2:
-        dec = extract_decomposition_2(result.coloring)
-        verify_decomposition_2(graph, dec, result.coloring).require_ok()
-        _emit(out, decomposition2_to_json(dec))
-    else:
-        dec, report, _ = certify_3(graph, result.coloring)
-        report.require_ok()
-        _emit(out, decomposition3_to_json(dec))
+        report = two_palette_check(graph, dec, report)
+        # The two-part form, H0 and H1 alone, which `verify` reads back.
+        text = json.dumps({k: v for k, v in json.loads(text).items() if k in ("H0", "H1")})
+    # Extraction does not check its result; never print a failing certificate.
+    report.require_ok()
+    _emit(out, text)
     return 0
 
 
@@ -383,10 +382,9 @@ def cmd_verify(args, out) -> int:
     except MalformedInput as exc:
         _emit(out, json.dumps({"ok": False, "clauses": [["certificate-malformed", False, str(exc)]]}))
         return 2
-    if isinstance(dec, Decomposition3):
-        report = verify_decomposition_3(graph, dec)
-    else:
-        report = verify_decomposition_2(graph, dec)
+    report = verify_decomposition_3(graph, dec)
+    if "A" not in json.loads(payload):
+        report = two_palette_check(graph, dec, report)
     _emit(
         out,
         json.dumps(

@@ -8,10 +8,11 @@ palettes.  Every color of a hyperedge is a perfect matching of the union of
 its A-sets, so the colors of one hyperedge span a regular Class 1 part.
 Minimality makes the hyperedges pairwise intersecting, which leaves five
 possible hyperedges over three A-sets and so at most four parts.  With two
-palettes the certificate is the H0 and H1 of the three-set one.
+palettes the certificate is the three-set one without H2 and H3, its A-sets
+V − V(H1), V(H1) and ∅.
 
-A certificate flows ``palette_index`` → ``extract_decomposition_*`` →
-``verify_decomposition_*`` → ``synthesize_coloring_*(graph, dec, report)``.
+A certificate flows ``palette_index`` → ``extract_decomposition_3`` →
+``verify_decomposition_3`` → ``synthesize_coloring_3(graph, dec, report)``.
 Extraction only reads the minimal coloring and does not check what it
 returns.  Verification takes the coloring the certificate came from, when
 there is one, and proves each part Class 1 by its restriction: renumbered
@@ -23,7 +24,9 @@ builds without another search.  ``certify_3`` runs the three-set path
 once, and every caller that needs that certificate takes it from there.
 ``regular_corollary_check(graph, dec, report)`` appends the corollary's
 clauses (shape, three parts, degree parity, equal degrees) to that same
-report, so every certificate has one verdict, its ``ClauseReport``.
+report, and ``two_palette_check(graph, dec, report)`` thm-s2's (a degree
+gap, no H2 or H3, H0 δ_min-regular, H1 (Δ − δ_min)-regular), so every
+certificate has one verdict, its ``ClauseReport``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .errors import (
     NotConnected,
     NotCubic,
     NotRegular,
-    NotTwoPalettes,
     TooManyPalettes,
 )
 from .hypergraphs import hyperedges_of
@@ -61,11 +63,6 @@ from .multigraph import (
 
 SHAPE_A3 = "A3"
 SHAPE_A1A2 = "A1A2"
-
-
-class Decomposition2(NamedTuple):
-    h0: EdgeSubset | None
-    h1: EdgeSubset | None
 
 
 class Decomposition3(NamedTuple):
@@ -145,52 +142,14 @@ def _class1_clause(
     return (f"{name.lower()}-class1", witness is not None, f"{name} is Class 1")
 
 
-def _require_coloring_of(graph: MultiGraph, coloring: EdgeColoring | None) -> None:
-    if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
-        raise MalformedInput("coloring belongs to a different graph")
-
-
-def verify_decomposition_2(
-    graph: MultiGraph, dec: Decomposition2, coloring: EdgeColoring | None = None
-) -> ClauseReport:
-    """Check a two-part certificate.  Each present part's Class 1 clause
-    reads ``coloring``, a proper coloring of ``graph``, when given (see
-    ``_class1_clause``), and otherwise runs χ′ on the part."""
-    _require_coloring_of(graph, coloring)
-    deg = graph.degrees
-    delta_max = max(deg, default=0)
-    delta_min = min(deg, default=0)
-    clauses: list[tuple[str, bool, str]] = []
-    witnesses: dict[str, EdgeColoring] = {}
-    clauses.append(("delta-gap", delta_max > delta_min, "max degree exceeds min degree"))
-    parts = tuple(
-        (name, s) for name, s in (("H0", dec.h0), ("H1", dec.h1)) if s is not None
-    )
-    clauses.append(("parts-present", bool(parts), "at least one part is present"))
-    clauses.extend(_edge_partition_clauses(graph, parts))
-    if dec.h0 is not None and len(dec.h0) > 0:
-        view = induced_edge_subgraph(graph, dec.h0)
-        spanning = set(view.vertex_labels or ()) == set(range(graph.n))
-        clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
-        r = is_regular(view)
-        clauses.append(("h0-regular", r == delta_min, f"H0 is {delta_min}-regular"))
-        clauses.append(_class1_clause("H0", view, r, coloring, witnesses))
-    if dec.h1 is not None and len(dec.h1) > 0:
-        view = induced_edge_subgraph(graph, dec.h1)
-        want = delta_max - delta_min
-        r = is_regular(view)
-        clauses.append(("h1-regular", r == want, f"H1 is {want}-regular"))
-        clauses.append(_class1_clause("H1", view, r, coloring, witnesses))
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
-
-
 def verify_decomposition_3(
     graph: MultiGraph, dec: Decomposition3, coloring: EdgeColoring | None = None
 ) -> ClauseReport:
     """Check a certificate of at most four parts.  Each present part's
     Class 1 clause reads ``coloring``, a proper coloring of ``graph``, when
     given (see ``_class1_clause``), and otherwise runs χ′ on the part."""
-    _require_coloring_of(graph, coloring)
+    if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
+        raise MalformedInput("coloring belongs to a different graph")
     clauses: list[tuple[str, bool, str]] = []
     witnesses: dict[str, EdgeColoring] = {}
     covered = frozenset().union(*dec.partition.parts)
@@ -297,52 +256,20 @@ def _read_certificate(coloring: EdgeColoring, system: PaletteSystem) -> Decompos
     return Decomposition3(h0, h1, h2, h3, partition, shape)
 
 
-def extract_decomposition_2(coloring: EdgeColoring) -> Decomposition2:
-    """Read the two-palette decomposition off a minimal coloring.
-
-    Requires exactly two distinct palettes whose associated hypergraph is
-    pairwise intersecting (equivalently: nested palettes); otherwise the
-    coloring is not minimal and reduce_colors should be applied first.  H0
-    holds the colors of both palettes, H1 those of the larger one only.  The
-    result is not verified; callers run ``verify_decomposition_2``.
-    """
-    system = palettes_of(coloring)
-    if len(system) != 2:
-        raise NotTwoPalettes(f"coloring induces {len(system)} palettes, need 2")
-    dec = _read_certificate(coloring, system)
-    return Decomposition2(dec.h0, dec.h1)
-
-
 def _stack(
     graph: MultiGraph,
-    parts: tuple[tuple[str, EdgeSubset | None], ...],
+    parts: tuple[tuple[str, EdgeSubset], ...],
     witnesses: dict[str, EdgeColoring],
 ) -> EdgeColoring:
-    """Put each present part's witness coloring on the next interval of
-    colors, as long as the part's degree.  On a passing report H0 is
-    delta_min-regular, so a two-part certificate's H1 starts after it."""
+    """Put each part's witness coloring on the next interval of colors, as
+    long as the part's degree."""
     mapping: dict[int, int] = {}
     offset = 0
-    for name, part in parts:
-        if part is not None:
-            witness = witnesses[name]
-            mapping.update({eid: c + offset for eid, c in witness.colors.items()})
-            offset += is_regular(witness.graph)
+    for name, _ in parts:
+        witness = witnesses[name]
+        mapping.update({eid: c + offset for eid, c in witness.colors.items()})
+        offset += is_regular(witness.graph)
     return EdgeColoring(graph, mapping)
-
-
-def synthesize_coloring_2(
-    graph: MultiGraph, dec: Decomposition2, report: ClauseReport
-) -> EdgeColoring:
-    """Color H0 with 1..delta_min and H1 with the next delta_max - delta_min
-    colors, taking each part's coloring from ``report``, the verification of
-    ``dec``; the result has exactly two palettes.  A failing report raises
-    InvalidCertificate."""
-    parts = (("H0", dec.h0), ("H1", dec.h1))
-    coloring = _stack(graph, parts, report.require_ok().witnesses)
-    if len(palettes_of(coloring)) != 2:
-        raise AssertionError("synthesized coloring does not have two palettes")
-    return coloring
 
 
 def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
@@ -421,6 +348,35 @@ def regular_corollary_check(
     return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
 
 
+def two_palette_check(
+    graph: MultiGraph, dec: Decomposition3, report: ClauseReport
+) -> ClauseReport:
+    """``report``, the verification of ``dec``, with thm-s2's clauses
+    appended; a failing report comes back unchanged.
+
+    Two palettes need a graph whose degrees differ and a certificate of at
+    most two parts: an optional delta_min-regular spanning H0 and an
+    optional (delta_max - delta_min)-regular H1.
+    """
+    if not report.ok:
+        return report
+    delta_max = max(graph.degrees, default=0)
+    delta_min = min(graph.degrees, default=0)
+    want = {"H0": delta_min, "H1": delta_max - delta_min}
+    degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
+    clauses = list(report.clauses)
+    clauses += [
+        ("delta-gap", delta_max > delta_min, "max degree exceeds min degree"),
+        ("two-parts", dec.h2 is None and dec.h3 is None, "H2 and H3 must be absent"),
+    ]
+    clauses.extend(
+        (f"{name.lower()}-degree", degree[name] == want[name],
+         f"{name} is {degree[name]}-regular, expected {want[name]}")
+        for name in ("H0", "H1") if name in degree
+    )
+    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
+
+
 def classify_cubic(graph: MultiGraph, chi_prime: int) -> int:
     """Palette index of a connected cubic graph without a palette search,
     after Horňák, Kalinowski, Meszka and Woźniak (2014): 1 when its
@@ -439,10 +395,6 @@ def classify_cubic(graph: MultiGraph, chi_prime: int) -> int:
 
 def _ids(subset: EdgeSubset | None):
     return sorted(subset.members) if subset is not None else None
-
-
-def decomposition2_to_json(dec: Decomposition2) -> str:
-    return json.dumps({"H0": _ids(dec.h0), "H1": _ids(dec.h1)})
 
 
 def decomposition3_to_json(dec: Decomposition3) -> str:
@@ -471,8 +423,9 @@ def _is_id_list(value) -> bool:
         isinstance(x, int) and not isinstance(x, bool) for x in value)
 
 
-def decomposition_from_json(graph: MultiGraph, payload: str | dict):
-    """Parse a certificate; the presence of "A" selects Decomposition3."""
+def decomposition_from_json(graph: MultiGraph, payload: str | dict) -> Decomposition3:
+    """Parse a certificate.  One without "A" is the two-part form, H0 and
+    H1 alone, read with the A-sets V − V(H1), V(H1) and ∅."""
     try:
         obj = json.loads(payload) if isinstance(payload, str) else payload
     except json.JSONDecodeError as exc:
@@ -494,7 +447,9 @@ def decomposition_from_json(graph: MultiGraph, payload: str | dict):
             VertexPartition(tuple(frozenset(p) for p in a_sets)),
             shape,
         )
-    return Decomposition2(
-        _subset_from_json(graph, obj.get("H0")),
-        _subset_from_json(graph, obj.get("H1")),
-    )
+    h0 = _subset_from_json(graph, obj.get("H0"))
+    h1 = _subset_from_json(graph, obj.get("H1"))
+    held = h1.members if h1 is not None else frozenset()
+    a2 = frozenset(x for eid, u, v in graph.edges if eid in held for x in (u, v))
+    partition = VertexPartition((frozenset(range(graph.n)) - a2, a2, frozenset()))
+    return Decomposition3(h0, h1, None, None, partition, None)

@@ -165,17 +165,14 @@ def bf_odd_cover(rows, cols: int) -> bool:
 def bf_valid_decomposition2_exists(graph: MultiGraph) -> bool:
     """Search all ways to split E(G) into (H0, H1) per the two-palette
     characterization; m <= 12."""
-    from palette_kit import Decomposition2, EdgeSubset, verify_decomposition_2
+    from palette_kit import decomposition_from_json, two_palette_check, verify_decomposition_3
 
     ids = sorted(graph.edge_ids)
     for mask in range(1 << len(ids)):
-        h0_ids = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        h1_ids = frozenset(ids) - h0_ids
-        dec = Decomposition2(
-            EdgeSubset(graph, h0_ids) if h0_ids else None,
-            EdgeSubset(graph, h1_ids) if h1_ids else None,
-        )
-        if verify_decomposition_2(graph, dec).ok:
+        h0_ids = [ids[i] for i in range(len(ids)) if mask >> i & 1]
+        h1_ids = [i for i in ids if i not in h0_ids]
+        dec = decomposition_from_json(graph, {"H0": h0_ids or None, "H1": h1_ids or None})
+        if two_palette_check(graph, dec, verify_decomposition_3(graph, dec)).ok:
             return True
     return False
 

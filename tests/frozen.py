@@ -1,11 +1,15 @@
-"""Frozen reference copies of the palette search and the parity filter.
+"""Frozen reference copies of the palette search, the parity filter and
+the two-part certificate verifier.
 
 This ``_search`` counts each vertex's uncolored edges at every node and
 collects the palettes it completes in a list per color try; this
 ``_parity_ok`` counts the degree classes on every call.  The package's
 ``_search`` and ``_parity_ok`` must return the same values on every input,
-so the tests compare them with these copies.  Nothing in the package
-imports this module; leave the copies as they are.
+so the tests compare them with these copies.  ``verify_decomposition_2``
+is the verifier that checked (H0, H1) certificates on their own, before
+they were read as three-set certificates; the package's verdict on every
+split must be its verdict.  Nothing in the package imports this module;
+leave the copies as they are.
 """
 
 from __future__ import annotations
@@ -14,7 +18,13 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from palette_kit.multigraph import MultiGraph
+from palette_kit.coloring import is_class1_regular
+from palette_kit.multigraph import (
+    EdgeSubset,
+    MultiGraph,
+    induced_edge_subgraph,
+    is_regular,
+)
 
 PARITY_EFFORT_CAP = 20_000
 
@@ -202,3 +212,39 @@ def _odd_cover(rows: list[int], cols: int) -> bool:
         if need > wide * min(2 * q + 2, i) + (cols - wide) * min(2 * q, i):
             return False
     return True
+
+
+def verify_decomposition_2(
+    graph: MultiGraph, h0: EdgeSubset | None, h1: EdgeSubset | None
+) -> tuple[bool, tuple[tuple[str, bool, str], ...]]:
+    """The verdict and clauses of a two-part certificate, each present
+    part proved Class 1 by χ′."""
+    deg = graph.degrees
+    delta_max = max(deg, default=0)
+    delta_min = min(deg, default=0)
+    clauses: list[tuple[str, bool, str]] = []
+    clauses.append(("delta-gap", delta_max > delta_min, "max degree exceeds min degree"))
+    parts = tuple((name, s) for name, s in (("H0", h0), ("H1", h1)) if s is not None)
+    clauses.append(("parts-present", bool(parts), "at least one part is present"))
+    nonempty = all(len(s) > 0 for _, s in parts)
+    clauses.append(("parts-nonempty", nonempty, "every present part has an edge"))
+    used: set[int] = set()
+    disjoint = True
+    for _, s in parts:
+        if used & s.members:
+            disjoint = False
+        used |= s.members
+    clauses.append(("edge-disjoint", disjoint, "parts share no edge"))
+    clauses.append(("edges-cover", used == set(graph.edge_ids), "parts cover E(G)"))
+    if h0 is not None and len(h0) > 0:
+        view = induced_edge_subgraph(graph, h0)
+        spanning = set(view.vertex_labels or ()) == set(range(graph.n))
+        clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
+        clauses.append(("h0-regular", is_regular(view) == delta_min, f"H0 is {delta_min}-regular"))
+        clauses.append(("h0-class1", is_class1_regular(view) is not None, "H0 is Class 1"))
+    if h1 is not None and len(h1) > 0:
+        view = induced_edge_subgraph(graph, h1)
+        want = delta_max - delta_min
+        clauses.append(("h1-regular", is_regular(view) == want, f"H1 is {want}-regular"))
+        clauses.append(("h1-class1", is_class1_regular(view) is not None, "H1 is Class 1"))
+    return all(ok for _, ok, _ in clauses), tuple(clauses)

@@ -1,25 +1,29 @@
 """Pinned certificate bytes.
 
-Each digest hashes, line by line, the ``decomposition3_to_json`` and
-``decomposition2_to_json`` output of extraction on a fixed set of colorings,
-or the exception class name where extraction refuses the coloring.  A change
-to how certificates are read off a coloring shows up here as a new digest.
+Each digest hashes, line by line, two lines per coloring of a fixed set:
+the ``decomposition3_to_json`` output of extraction, and the two-part form
+of that certificate (its H0 and H1 alone, as ``decompose --target 2``
+prints it), or the exception class name where either is refused.  The
+two-part form is refused with ``NotTwoPalettes`` unless the coloring has two
+palettes.  A change to how certificates are read off a coloring shows up
+here as a new digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
 from palette_kit import (
+    NotTwoPalettes,
     PaletteKitError,
-    decomposition2_to_json,
     decomposition3_to_json,
-    extract_decomposition_2,
     extract_decomposition_3,
     lex_min_witness,
     palette_index,
+    palettes_of,
     read_graph_file,
     reduce_colors,
 )
@@ -28,16 +32,22 @@ from conftest import random_multigraph, random_proper_coloring
 
 ATLAS = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "atlas.g6"
 
-EXTRACTIONS = (
-    (extract_decomposition_3, decomposition3_to_json),
-    (extract_decomposition_2, decomposition2_to_json),
-)
+def three_set(coloring) -> str:
+    return decomposition3_to_json(extract_decomposition_3(coloring))
+
+
+def two_part(coloring) -> str:
+    palettes = len(palettes_of(coloring))
+    if palettes != 2:
+        raise NotTwoPalettes(f"coloring induces {palettes} palettes, need 2")
+    certificate = json.loads(three_set(coloring))
+    return json.dumps({"H0": certificate["H0"], "H1": certificate["H1"]})
 
 
 def certificate_lines(coloring):
-    for extract, to_json in EXTRACTIONS:
+    for line in (three_set, two_part):
         try:
-            yield to_json(extract(coloring))
+            yield line(coloring)
         except PaletteKitError as exc:
             yield type(exc).__name__
 

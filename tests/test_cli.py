@@ -763,18 +763,20 @@ def write_graph(tmp_path, graph, name="g.g6") -> str:
 
 
 @pytest.mark.parametrize(
-    "graph,verifications,chi_searches",
-    [(fam.complete_graph(4), 1, 1), (fam.petersen_graph(), 1, 1)],
-    ids=["k4", "petersen"],
+    "graph,verifications,chi_searches,views",
+    [(fam.complete_graph(4), 1, 1, 1), (fam.petersen_graph(), 1, 1, 4),
+     (fam.path_graph(4), 1, 1, 2)],
+    ids=["k4", "petersen", "p4"],
 )
 def test_corpus_record_verifies_each_certificate_once(
-        monkeypatch, graph, verifications, chi_searches):
+        monkeypatch, graph, verifications, chi_searches, views):
     # K4 (s = 1): thm-s3 verifies its one-part certificate; cor-regular3 has
-    # none.  Petersen (s = 3): thm-s3 and cor-regular3 share one.  χ′ runs
-    # once, on the whole graph in the palette search: classify_cubic takes
-    # that χ′, and every part is proved Class 1 by the minimal coloring's
-    # restriction to it.
-    counts = {"verify": 0, "chi": 0}
+    # none.  Petersen (s = 3): thm-s3 and cor-regular3 share one.  P4 (s = 2):
+    # thm-s2 and thm-s3 share one, and each of its two parts is viewed once.
+    # χ′ runs once, on the whole graph in the palette search: classify_cubic
+    # takes that χ′, and every part is proved Class 1 by the minimal
+    # coloring's restriction to it.
+    counts = {"verify": 0, "chi": 0, "views": 0}
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -788,10 +790,12 @@ def test_corpus_record_verifies_each_certificate_once(
         monkeypatch.setattr(module, "verify_decomposition_3", verify)
     for module in (cli, coloring, solver):
         monkeypatch.setattr(module, "chromatic_index", chi)
+    monkeypatch.setattr(decomposition, "induced_edge_subgraph",
+                        counting("views", decomposition.induced_edge_subgraph))
     task = (0, "g", graph.n, graph.edges, cli.CHECK_NAMES, solver.PALETTE_INDEX_EDGE_CAP)
     record = cli._corpus_record(task)
     assert set(record["checks"].values()) <= {"pass", "skip"}
-    assert counts == {"verify": verifications, "chi": chi_searches}
+    assert counts == {"verify": verifications, "chi": chi_searches, "views": views}
 
 
 def test_corpus_builds_each_certificate_once(monkeypatch):
@@ -860,6 +864,47 @@ def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, grap
     assert failed and failed <= {"h2-regular", "h3-regular", "h2-class1", "h3-class1",
                                  "h2-vertices", "h3-vertices"}
     assert f"FALSIFIED {check} on graph 0" in capsys.readouterr().err
+
+
+def test_bad_two_part_certificate_falsifies_thm_s2(monkeypatch, capsys, tmp_path):
+    # P4's certificate with H0 and H1 swapped fails the three-set clauses,
+    # and thm-s2's counterexample prints the certificate it checked.
+    real = decomposition.extract_decomposition_3
+
+    def swapped(col):
+        dec = real(col)
+        return dec._replace(h0=dec.h1, h1=dec.h0)
+
+    monkeypatch.setattr(decomposition, "extract_decomposition_3", swapped)
+    code, out = run_cli(["corpus", "--checks", "thm-s2", write_graph(tmp_path, fam.path_graph(4))])
+    assert code == 2
+    record = json.loads(out)["records"][0]
+    assert record["checks"] == {"thm-s2": "fail"}
+    assert record["counterexamples"]["thm-s2"] == {
+        "clauses": [["h0-spanning", "H0 covers every vertex"],
+                    ["h1-vertices", "V(H1) = A2 u A3"]],
+        "certificate": '{"H0": [1], "H1": [0, 2], "H2": null, "H3": null, '
+                       '"A": [[0, 3], [1, 2], []], "shape": null}',
+    }
+    assert "FALSIFIED thm-s2 on graph 0" in capsys.readouterr().err
+
+
+def test_synthesis_without_two_palettes_falsifies_thm_s2(monkeypatch, capsys, tmp_path):
+    # A verified certificate whose synthesis had three palettes would break
+    # thm-s2; here the record's certificate comes with C5's coloring.
+    real = decomposition.certify_3
+    three = solver.palette_index(fam.cycle_graph(5)).coloring
+
+    def wrong_synthesis(graph, col):
+        dec, report, _ = real(graph, col)
+        return dec, report, three
+
+    monkeypatch.setattr(cli, "certify_3", wrong_synthesis)
+    code, out = run_cli(["corpus", "--checks", "thm-s2", write_graph(tmp_path, fam.path_graph(4))])
+    assert code == 2
+    assert json.loads(out)["records"][0]["counterexamples"] == {
+        "thm-s2": {"reason": "synthesized coloring does not have two palettes"}}
+    assert "FALSIFIED thm-s2 on graph 0" in capsys.readouterr().err
 
 
 def test_certificate_without_the_corollary_shape_falsifies_cor_regular3(
@@ -947,11 +992,12 @@ PETERSEN_G6_CERTIFICATE = (
     [
         (fam.petersen_graph(), 3, PETERSEN_G6_CERTIFICATE),
         (fam.path_graph(4), 2, '{"H0": [0, 2], "H1": [1]}\n'),
+        (MultiGraph.from_pairs(3, [(0, 1)]), 2, '{"H0": null, "H1": [0]}\n'),
         (fam.path_graph(4), 3,
          '{"H0": [0, 2], "H1": [1], "H2": null, "H3": null, "A": [[0, 3], [1, 2], []], '
          '"shape": null}\n'),
     ],
-    ids=["petersen-3", "path-2", "path-3"],
+    ids=["petersen-3", "path-2", "k2-plus-k1-2", "path-3"],
 )
 def test_decompose_prints_a_certificate_that_verifies(tmp_path, graph, target, expected):
     path = write_graph(tmp_path, graph)
@@ -971,22 +1017,52 @@ def test_decompose_target2_rejects_three_palettes(tmp_path, capsys):
 
 
 def test_verify_prints_every_clause(tmp_path):
+    # A two-part certificate is read as the three-set one with A-sets
+    # V − V(H1), V(H1) and ∅, and thm-s2's clauses follow its verification.
     cert = tmp_path / "cert.json"
     cert.write_text('{"H0": [0, 2], "H1": [1]}')
     path = write_graph(tmp_path, fam.path_graph(4))
     code, out = run_cli(["verify", path, "--certificate", str(cert)])
     assert code == 0
     assert out == (
-        '{"clauses": [["delta-gap", true, "max degree exceeds min degree"], '
-        '["parts-present", true, "at least one part is present"], '
+        '{"clauses": [["partition-covers", true, "A-sets cover V(G)"], '
+        '["partition-width", true, "exactly three (possibly empty) A-sets"], '
+        '["parts-present", true, "a nonempty graph has parts"], '
         '["parts-nonempty", true, "every present part has an edge"], '
         '["edge-disjoint", true, "parts share no edge"], '
         '["edges-cover", true, "parts cover E(G)"], '
+        '["shape-consistent", true, "shape flag matches H3 presence"], '
+        '["h0-regular", true, "H0 is regular"], ["h0-class1", true, "H0 is Class 1"], '
+        '["h1-regular", true, "H1 is regular"], ["h1-class1", true, "H1 is Class 1"], '
         '["h0-spanning", true, "H0 covers every vertex"], '
-        '["h0-regular", true, "H0 is 1-regular"], ["h0-class1", true, "H0 is Class 1"], '
-        '["h1-regular", true, "H1 is 1-regular"], ["h1-class1", true, "H1 is Class 1"]], '
+        '["h1-vertices", true, "V(H1) = A2 u A3"], '
+        '["delta-gap", true, "max degree exceeds min degree"], '
+        '["two-parts", true, "H2 and H3 must be absent"], '
+        '["h0-degree", true, "H0 is 1-regular, expected 1"], '
+        '["h1-degree", true, "H1 is 1-regular, expected 1"]], '
         '"ok": true}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "graph,certificate,failed",
+    [
+        # P4's certificate with H0 and H1 swapped: H0 misses two vertices.
+        (fam.path_graph(4), {"H0": [1], "H1": [0, 2]}, ["h0-spanning"]),
+        # C4 as one 2-regular part: a three-set certificate, but its degrees
+        # do not differ.
+        (fam.cycle_graph(4), {"H0": None, "H1": [0, 1, 2, 3]}, ["delta-gap", "h1-degree"]),
+    ],
+    ids=["p4-swapped", "c4-regular"],
+)
+def test_verify_rejects_a_tampered_two_part_certificate(tmp_path, graph, certificate, failed):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate))
+    code, out = run_cli(["verify", write_graph(tmp_path, graph), "--certificate", str(cert)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert [name for name, passed, _ in report["clauses"] if not passed] == failed
 
 
 def test_verify_rejects_tampered_and_malformed_certificates(tmp_path):

@@ -3,11 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from palette_kit import (
-    Decomposition2,
     Decomposition3,
     EdgeColoring,
     EdgeSubset,
@@ -18,14 +17,12 @@ from palette_kit import (
     NotConnected,
     NotCubic,
     NotRegular,
-    NotTwoPalettes,
     TooManyPalettes,
     VertexPartition,
     chromatic_index,
     classify_cubic,
     decomposition3_to_json,
     decomposition_from_json,
-    extract_decomposition_2,
     extract_decomposition_3,
     induced_edge_subgraph,
     is_regular,
@@ -34,9 +31,8 @@ from palette_kit import (
     palettes_of,
     reduce_colors,
     regular_corollary_check,
-    synthesize_coloring_2,
     synthesize_coloring_3,
-    verify_decomposition_2,
+    two_palette_check,
     verify_decomposition_3,
 )
 from palette_kit import cli, decomposition
@@ -49,15 +45,28 @@ from bruteforce import (
     bf_valid_decomposition2_exists,
     pairwise_intersecting,
 )
-from conftest import multigraphs, random_proper_coloring, random_simple_graph
+from conftest import multigraphs, nx_line, random_proper_coloring, random_simple_graph
+import frozen
 
 
 def labels(graph, subset):
     return frozenset(induced_edge_subgraph(graph, subset).vertex_labels)
 
 
+def two_part(graph, h0, h1):
+    """The certificate that ``verify`` reads {"H0": h0, "H1": h1} into."""
+    return decomposition_from_json(graph, {"H0": h0, "H1": h1})
+
+
+def verified_2(graph, dec, coloring=None):
+    """The three-set verification of dec with thm-s2's clauses appended."""
+    return two_palette_check(graph, dec, verify_decomposition_3(graph, dec, coloring))
+
+
 def synthesized_2(graph, dec):
-    return synthesize_coloring_2(graph, dec, verify_decomposition_2(graph, dec))
+    coloring = synthesize_coloring_3(graph, dec, verified_2(graph, dec))
+    assert len(palettes_of(coloring)) == 2
+    return coloring
 
 
 def synthesized_3(graph, dec):
@@ -72,7 +81,7 @@ def b_a_c_d_path():
 def test_extract2_path_example():
     g = b_a_c_d_path()
     coloring = EdgeColoring(g, {0: 1, 1: 2, 2: 1})
-    dec = extract_decomposition_2(coloring)
+    dec = extract_decomposition_3(coloring)
     assert dec.h0 is not None and dec.h0.members == frozenset({0, 2})
     assert dec.h1.members == frozenset({1})
     view0 = induced_edge_subgraph(g, dec.h0)
@@ -84,28 +93,31 @@ def test_extract2_with_isolated_vertex():
     g = fam.disjoint_union(fam.complete_graph(4), fam.edgeless(1))
     result = palette_index(g)
     assert result.s_check == 2
-    dec = extract_decomposition_2(result.coloring)
+    dec = extract_decomposition_3(result.coloring)
     assert dec.h0 is None
     assert dec.h1.members == g.edge_ids
+    assert dec.h2 is dec.h3 is None
 
 
-def test_extract2_rejects_other_palette_counts():
-    with pytest.raises(NotTwoPalettes):
-        extract_decomposition_2(palette_index(fam.cycle_graph(5)).coloring)
-    with pytest.raises(NotTwoPalettes):
-        extract_decomposition_2(palette_index(fam.complete_graph(4)).coloring)
+def test_extract2_rejects_other_palette_counts(tmp_path, capsys):
+    # Only `decompose --target 2` asks for two palettes; C5 has three, K4 one.
+    for graph, palettes in [(fam.cycle_graph(5), 3), (fam.complete_graph(4), 1)]:
+        path = tmp_path / "g.g6"
+        path.write_text(nx_line(graph) + "\n")
+        assert cli.cli_main(["decompose", "--target", "2", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: coloring induces {palettes} palettes, need 2\n"
 
 
 def test_extract2_rejects_non_nested():
     g = fam.disjoint_union(fam.path_graph(2), fam.path_graph(2))
     coloring = EdgeColoring(g, {0: 1, 1: 2})  # two palettes {1},{2}, not nested
     with pytest.raises(NonMinimalColoring):
-        extract_decomposition_2(coloring)
+        extract_decomposition_3(coloring)
 
 
 def test_synthesize2_path():
     g = b_a_c_d_path()
-    dec = extract_decomposition_2(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
+    dec = extract_decomposition_3(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
     coloring = synthesized_2(g, dec)
     system = palettes_of(coloring)
     assert set(system.palettes) == {frozenset({1}), frozenset({1, 2})}
@@ -113,7 +125,7 @@ def test_synthesize2_path():
 
 def test_synthesize2_isolated_vertex_palettes():
     g = fam.disjoint_union(fam.complete_graph(4), fam.edgeless(1))
-    dec = extract_decomposition_2(palette_index(g).coloring)
+    dec = extract_decomposition_3(palette_index(g).coloring)
     coloring = synthesized_2(g, dec)
     assert set(palettes_of(coloring).palettes) == {
         frozenset(),
@@ -123,7 +135,7 @@ def test_synthesize2_isolated_vertex_palettes():
 
 def test_synthesize2_invalid_certificate_names_clause():
     g = b_a_c_d_path()
-    bad = Decomposition2(None, EdgeSubset(g, g.edge_ids))
+    bad = two_part(g, None, sorted(g.edge_ids))
     with pytest.raises(InvalidCertificate) as err:
         synthesized_2(g, bad)
     assert err.value.clause == "h1-regular"
@@ -140,6 +152,44 @@ def test_verify2_against_bruteforce(rng):
         assert bf_valid_decomposition2_exists(g) == expected
         hits += expected
     assert hits
+
+
+def two_part_splits(graph):
+    """Every (H0, H1) split of E(G), an empty side given both as absent and
+    as an empty list."""
+    ids = sorted(graph.edge_ids)
+    for mask in range(1 << len(ids)):
+        h0 = [e for i, e in enumerate(ids) if mask >> i & 1]
+        h1 = [e for e in ids if e not in h0]
+        for a in [h0] if h0 else [None, []]:
+            for b in [h1] if h1 else [None, []]:
+                yield a, b
+
+
+def frozen_verdict(graph, h0, h1):
+    def subset(ids):
+        return None if ids is None else EdgeSubset(graph, ids)
+    return frozen.verify_decomposition_2(graph, subset(h0), subset(h1))[0]
+
+
+# Graphs with s = 2, so that some of their splits pass.
+@example(fam.path_graph(4))
+@example(MultiGraph.from_pairs(3, [(0, 1)]))
+@example(fam.disjoint_union(fam.complete_graph(4), fam.edgeless(1)))
+@example(MultiGraph.from_pairs(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)]))
+@settings(max_examples=120, deadline=None)
+@given(multigraphs(max_n=5, max_m=6))
+def test_two_palette_verdict_matches_the_frozen_two_part_verifier(g):
+    for h0, h1 in two_part_splits(g):
+        assert verified_2(g, two_part(g, h0, h1)).ok == frozen_verdict(g, h0, h1), (h0, h1)
+
+
+def test_two_palette_check_returns_a_failing_report_unchanged():
+    g = b_a_c_d_path()
+    dec = two_part(g, [1], [0, 2])
+    report = verify_decomposition_3(g, dec)
+    assert not report.ok
+    assert two_palette_check(g, dec, report) is report
 
 
 def k7_fig3_certificate():
@@ -291,14 +341,12 @@ def test_extraction_refuses_exactly_the_non_minimal_colorings(g, r, spread):
     t = len(palettes_of(coloring))
     assume(t <= 3)
     minimal = pairwise_intersecting(bf_associated_hypergraph(coloring))
-    extractions = [extract_decomposition_3] + ([extract_decomposition_2] if t == 2 else [])
-    for extract in extractions:
-        try:
-            extract(coloring)
-        except NonMinimalColoring:
-            assert not minimal
-        else:
-            assert minimal
+    try:
+        extract_decomposition_3(coloring)
+    except NonMinimalColoring:
+        assert not minimal
+    else:
+        assert minimal
     reduced = reduce_colors(coloring)
     assert verify_decomposition_3(g, extract_decomposition_3(reduced)).ok
 
@@ -429,8 +477,10 @@ def test_certificate_json_round_trip():
 def test_certificate_json_d2():
     g = b_a_c_d_path()
     dec = decomposition_from_json(g, '{"H0": [0, 2], "H1": [1]}')
-    assert isinstance(dec, Decomposition2)
-    assert verify_decomposition_2(g, dec).ok
+    assert isinstance(dec, Decomposition3)
+    assert dec.partition.parts == (frozenset({1, 3}), frozenset({0, 2}), frozenset())
+    assert (dec.h2, dec.h3, dec.shape) == (None, None, None)
+    assert verified_2(g, dec).ok
 
 
 def petersen_corollary_certificate():
@@ -441,7 +491,7 @@ def petersen_corollary_certificate():
 
 def b_a_c_d_path_certificate():
     g = b_a_c_d_path()
-    return g, extract_decomposition_2(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
+    return g, extract_decomposition_3(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
 
 
 # Pinned from the synthesis that ran chromatic_index on every part itself;
@@ -497,8 +547,7 @@ def test_synthesis_uses_the_verification_witnesses(g):
 
 def assert_part_witnesses(graph, dec, report):
     """Every witness is a proper r-coloring, in 1..r, of its r-regular part."""
-    parts = dict(dec.parts()) if isinstance(dec, Decomposition3) else {
-        name: s for name, s in (("H0", dec.h0), ("H1", dec.h1)) if s is not None}
+    parts = dict(dec.parts())
     for name, witness in report.witnesses.items():
         view = induced_edge_subgraph(graph, parts[name])
         r = is_regular(view)
@@ -519,11 +568,8 @@ def test_verification_from_the_coloring_matches_the_search(g, r, spread):
     coloring = reduce_colors(random_proper_coloring(r, g, spread=spread))
     t = len(palettes_of(coloring))
     assume(t <= 3)
-    checks = [(extract_decomposition_3, verify_decomposition_3)]
-    if t == 2:
-        checks.append((extract_decomposition_2, verify_decomposition_2))
-    for extract, verify in checks:
-        dec = extract(coloring)
+    dec = extract_decomposition_3(coloring)
+    for verify in [verify_decomposition_3] + ([verified_2] if t == 2 else []):
         searched = verify(g, dec)
         restricted = verify(g, dec, coloring)
         assert (restricted.ok, restricted.clauses) == (searched.ok, searched.clauses)
