@@ -4,7 +4,6 @@ small multigraphs."""
 from .coloring import (
     ChromaticIndexResult,
     EdgeColoring,
-    PaletteSystem,
     chromatic_index,
     is_class1_regular,
     palettes_of,

@@ -2,8 +2,10 @@
 
 ``EdgeColoring`` builds each vertex's palette in the pass that checks
 properness and keeps them as ``vertex_palettes``; ``palette``,
-``palettes_of`` and every palette count elsewhere read them rather than
-recompute them from the colors.
+``palettes_of`` (the distinct palettes, which
+``hypergraphs.associated_hypergraph`` takes as its vertices) and every
+palette count elsewhere read them rather than recompute them from the
+colors.
 
 ``_search`` is the one backtracking kernel of both exact searches.  The
 chromatic index runs it with t = n palettes, a bound that never prunes:
@@ -61,34 +63,10 @@ class EdgeColoring(FrozenValue):
         return self.vertex_palettes[v]
 
 
-class PaletteSystem(FrozenValue):
-    """Distinct palettes of a coloring and the vertex classes they induce.
-
-    Palettes are ordered lexicographically by sorted color list, with the
-    empty palette (isolated vertices) first.
-    """
-
-    palettes: tuple[frozenset[int], ...]
-    vertex_class: tuple[int, ...]
-
-    def __init__(self, palettes, vertex_class):
-        self.__dict__.update(palettes=palettes, vertex_class=vertex_class)
-
-    def __len__(self) -> int:
-        return len(self.palettes)
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in self.palettes]
-        for v, j in enumerate(self.vertex_class):
-            out[j].add(v)
-        return tuple(frozenset(s) for s in out)
-
-
-def palettes_of(coloring: EdgeColoring) -> PaletteSystem:
-    raw = coloring.vertex_palettes
-    distinct = sorted(set(raw), key=sorted)
-    index = {p: i for i, p in enumerate(distinct)}
-    return PaletteSystem(tuple(distinct), tuple(index[p] for p in raw))
+def palettes_of(coloring: EdgeColoring) -> tuple[frozenset[int], ...]:
+    """The distinct palettes, ordered by sorted color list, with the empty
+    palette (isolated vertices) first."""
+    return tuple(sorted(set(coloring.vertex_palettes), key=sorted))
 
 
 def _search_order(graph: MultiGraph) -> tuple[tuple[int, int, int], ...]:

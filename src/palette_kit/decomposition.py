@@ -2,14 +2,14 @@
 colorings, synthesis of colorings from certificates, and verification.
 
 Extraction groups the colors of a minimal coloring by the palettes that hold
-them, that is by the hyperedges of the associated hypergraph
-(``hypergraphs.hyperedges_of``).  The A-sets are the vertex classes of the
-palettes.  Every color of a hyperedge is a perfect matching of the union of
-its A-sets, so the colors of one hyperedge span a regular Class 1 part.
-Minimality makes the hyperedges pairwise intersecting, which leaves five
-possible hyperedges over three A-sets and so at most four parts.  With two
-palettes the certificate is the three-set one without H2 and H3, its A-sets
-V − V(H1), V(H1) and ∅.
+them, that is by the hyperedges of ``hypergraphs.associated_hypergraph``,
+whose vertices are the palettes of ``coloring.palettes_of``.  The A-sets are
+the vertex classes of the palettes.  Every color of a hyperedge is a perfect
+matching of the union of its A-sets, so the colors of one hyperedge span a
+regular Class 1 part.  Minimality makes the hyperedges pairwise
+intersecting, which leaves five possible hyperedges over three A-sets and so
+at most four parts.  With two palettes the certificate is the three-set one
+without H2 and H3, its A-sets V − V(H1), V(H1) and ∅.
 
 A certificate flows ``palette_index`` → ``extract_decomposition_3`` →
 ``verify_decomposition_3`` → ``synthesize_coloring_3(graph, dec, report)``.
@@ -35,12 +35,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .coloring import (
-    EdgeColoring,
-    PaletteSystem,
-    is_class1_regular,
-    palettes_of,
-)
+from .coloring import EdgeColoring, is_class1_regular, palettes_of
 from .errors import (
     InvalidCertificate,
     MalformedInput,
@@ -50,7 +45,7 @@ from .errors import (
     NotRegular,
     TooManyPalettes,
 )
-from .hypergraphs import hyperedges_of
+from .hypergraphs import associated_hypergraph
 from .multigraph import (
     EdgeSubset,
     MultiGraph,
@@ -215,16 +210,21 @@ _PART_OF_HYPEREDGE = {
 }
 
 
-def _read_certificate(coloring: EdgeColoring, system: PaletteSystem) -> Decomposition3:
-    """The certificate of a coloring with at most three palettes.
+def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
+    """Read the at-most-three-palette decomposition off a minimal coloring.
 
-    Two disjoint hyperedges raise NonMinimalColoring, so at most one
-    palette holds a color that no other palette holds; it goes last.
-    Padding with empty A-sets up to three, each holding every color
+    The A-sets are the vertex classes of the palettes.  Two disjoint
+    hyperedges raise NonMinimalColoring (run reduce_colors first), so at
+    most one palette holds a color that no other palette holds; it goes
+    last.  Padding with empty A-sets up to three, each holding every color
     vacuously, makes a one- or two-palette coloring read like a
-    three-palette one.
+    three-palette one.  The result is not verified; callers run
+    ``verify_decomposition_3``.
     """
-    holders = hyperedges_of(system)
+    hyper = associated_hypergraph(coloring)
+    if hyper.order > 3:
+        raise TooManyPalettes(f"coloring induces {hyper.order} palettes, need at most 3")
+    holders = dict(hyper.hyperedges)
     hyperedges = set(holders.values())
     if any(not x & y for x, y in combinations(hyperedges, 2)):
         raise NonMinimalColoring(
@@ -232,9 +232,9 @@ def _read_certificate(coloring: EdgeColoring, system: PaletteSystem) -> Decompos
             "pairwise intersecting); run reduce_colors first"
         )
     private = [i for e in hyperedges if len(e) == 1 for i in e]
-    order = [i for i in range(len(system)) if i not in private] + private
+    order = [i for i in range(hyper.order) if i not in private] + private
     position = {i: j for j, i in enumerate(order)}
-    padding = frozenset(range(len(system), 3))
+    padding = frozenset(range(hyper.order, 3))
     part_of: dict[int, int] = {}
     shape = None
     for color, members in holders.items():
@@ -249,10 +249,11 @@ def _read_certificate(coloring: EdgeColoring, system: PaletteSystem) -> Decompos
     h0, h1, h2, h3 = (
         EdgeSubset(coloring.graph, frozenset(s)) if s else None for s in edges
     )
-    classes = system.classes()
-    partition = VertexPartition(
-        tuple(classes[i] for i in order) + (frozenset(),) * len(padding)
+    a_sets = tuple(
+        frozenset(v for v, p in enumerate(coloring.vertex_palettes) if p == hyper.vertices[i])
+        for i in order
     )
+    partition = VertexPartition(a_sets + (frozenset(),) * len(padding))
     return Decomposition3(h0, h1, h2, h3, partition, shape)
 
 
@@ -270,20 +271,6 @@ def _stack(
         mapping.update({eid: c + offset for eid, c in witness.colors.items()})
         offset += is_regular(witness.graph)
     return EdgeColoring(graph, mapping)
-
-
-def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
-    """Read the at-most-three-palette decomposition off a minimal coloring.
-
-    The A-sets are the vertex classes of the palettes, padded with empty
-    ones to three.  A coloring whose associated hypergraph is not pairwise
-    intersecting raises NonMinimalColoring; run reduce_colors first.  The
-    result is not verified; callers run ``verify_decomposition_3``.
-    """
-    system = palettes_of(coloring)
-    if len(system) > 3:
-        raise TooManyPalettes(f"coloring induces {len(system)} palettes, need at most 3")
-    return _read_certificate(coloring, system)
 
 
 def synthesize_coloring_3(

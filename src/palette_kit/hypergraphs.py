@@ -4,19 +4,18 @@ The associated hypergraph has one vertex per distinct palette and one
 hyperedge per used color collecting the palettes containing it.  Loops
 (size-1 hyperedges) and parallel hyperedges are permitted.
 
-``hyperedges_of`` is the one place that decides which palettes hold each
-color.  ``associated_hypergraph`` wraps its map in a validated
-``Hypergraph``; the decomposition extractions and ``reduce_colors`` read
-the map directly.  A coloring is minimal in the paper's sense when its
-hyperedges pairwise intersect: two colors that no palette holds together
-could be merged into one.
+``associated_hypergraph`` is the one place that decides which palettes
+hold each color; the decomposition extraction and ``reduce_colors`` read
+that color -> palette indices map off its ``hyperedges``.  A coloring is
+minimal in the paper's sense when its hyperedges pairwise intersect: two
+colors that no palette holds together could be merged into one.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coloring import EdgeColoring, PaletteSystem, palettes_of
+from .coloring import EdgeColoring, palettes_of
 from .errors import MalformedInput
 from .multigraph import FrozenValue
 
@@ -80,16 +79,12 @@ class Hypergraph(FrozenValue):
         return "\n".join(lines)
 
 
-def hyperedges_of(system: PaletteSystem) -> dict[int, frozenset[int]]:
-    """Map each used color, in increasing order, to the indices (into
-    ``system.palettes``) of the palettes that hold it."""
+def associated_hypergraph(coloring: EdgeColoring) -> Hypergraph:
+    """The palettes of ``palettes_of``, in its order, and for each used
+    color, in increasing order, the indices of the palettes that hold it."""
+    palettes = palettes_of(coloring)
     holders: dict[int, set[int]] = {}
-    for i, palette in enumerate(system.palettes):
+    for i, palette in enumerate(palettes):
         for color in palette:
             holders.setdefault(color, set()).add(i)
-    return {color: frozenset(holders[color]) for color in sorted(holders)}
-
-
-def associated_hypergraph(coloring: EdgeColoring) -> Hypergraph:
-    system = palettes_of(coloring)
-    return Hypergraph(system.palettes, tuple(hyperedges_of(system).items()))
+    return Hypergraph(palettes, [(color, holders[color]) for color in sorted(holders)])

@@ -63,9 +63,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, _search, chromatic_index, palettes_of
+from .coloring import EdgeColoring, _search, chromatic_index
 from .errors import ResourceLimit
-from .hypergraphs import hyperedges_of
+from .hypergraphs import associated_hypergraph
 from .multigraph import MultiGraph, has_spanning_even_subgraph_no_isolated
 
 PALETTE_INDEX_EDGE_CAP = 30
@@ -304,7 +304,7 @@ def reduce_colors(coloring: EdgeColoring) -> EdgeColoring:
     held either, so a merge updates the color -> palettes map in place.  The
     output's associated hypergraph is pairwise intersecting.
     """
-    holders = hyperedges_of(palettes_of(coloring))
+    holders = dict(associated_hypergraph(coloring).hyperedges)
     target = {c: c for c in holders}
     while True:
         for a, b in combinations(holders, 2):

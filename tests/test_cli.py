@@ -996,8 +996,20 @@ PETERSEN_G6_CERTIFICATE = (
         (fam.path_graph(4), 3,
          '{"H0": [0, 2], "H1": [1], "H2": null, "H3": null, "A": [[0, 3], [1, 2], []], '
          '"shape": null}\n'),
+        # No vertices: three empty A-sets.  No edges: every vertex in A1.
+        (MultiGraph.from_pairs(0, []), 3,
+         '{"H0": null, "H1": null, "H2": null, "H3": null, "A": [[], [], []], '
+         '"shape": null}\n'),
+        (fam.edgeless(2), 3,
+         '{"H0": null, "H1": null, "H2": null, "H3": null, "A": [[0, 1], [], []], '
+         '"shape": null}\n'),
+        # The empty palette comes first and the private palette {1} last.
+        (MultiGraph.from_pairs(3, [(0, 1)]), 3,
+         '{"H0": null, "H1": [0], "H2": null, "H3": null, "A": [[2], [0, 1], []], '
+         '"shape": null}\n'),
     ],
-    ids=["petersen-3", "path-2", "k2-plus-k1-2", "path-3"],
+    ids=["petersen-3", "path-2", "k2-plus-k1-2", "path-3", "empty-3", "edgeless-3",
+         "k2-plus-k1-3"],
 )
 def test_decompose_prints_a_certificate_that_verifies(tmp_path, graph, target, expected):
     path = write_graph(tmp_path, graph)
@@ -1011,9 +1023,11 @@ def test_decompose_prints_a_certificate_that_verifies(tmp_path, graph, target, e
 
 
 def test_decompose_target2_rejects_three_palettes(tmp_path, capsys):
-    code, out = run_cli(["decompose", "--target", "2", write_graph(tmp_path, fam.petersen_graph())])
-    assert (code, out) == (1, "")
-    assert capsys.readouterr().err == "error: coloring induces 3 palettes, need 2\n"
+    # The graph without vertices has no palette at all and is refused too.
+    for graph, palettes in [(fam.petersen_graph(), 3), (MultiGraph.from_pairs(0, []), 0)]:
+        code, out = run_cli(["decompose", "--target", "2", write_graph(tmp_path, graph)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: coloring induces {palettes} palettes, need 2\n"
 
 
 def test_verify_prints_every_clause(tmp_path):
@@ -1090,16 +1104,22 @@ def test_verify_rejects_tampered_and_malformed_certificates(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,expected",
+    "graph,argv,expected",
     [
-        ([], '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'),
-        (["--render"], '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'
-                       "vertices: {1}, {1,2}\nh1: {1} -- {1,2}\nh2: loop at {1,2}\n"),
+        (fam.path_graph(4), [], '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'),
+        (fam.path_graph(4), ["--render"],
+         '{"vertices": [[1], [1, 2]], "hyperedges": [[0, 1], [1]]}\n'
+         "vertices: {1}, {1,2}\nh1: {1} -- {1,2}\nh2: loop at {1,2}\n"),
+        (MultiGraph.from_pairs(0, []), ["--render"],
+         '{"vertices": [], "hyperedges": []}\nvertices: \n'),
+        (fam.edgeless(2), ["--render"], '{"vertices": [[]], "hyperedges": []}\nvertices: {}\n'),
+        (MultiGraph.from_pairs(3, [(0, 1)]), ["--render"],
+         '{"vertices": [[], [1]], "hyperedges": [[1]]}\nvertices: {}, {1}\nh1: loop at {1}\n'),
     ],
-    ids=["json", "render"],
+    ids=["json", "render", "empty-render", "edgeless-render", "k2-plus-k1-render"],
 )
-def test_hypergraph_subcommand(tmp_path, argv, expected):
-    code, out = run_cli(["hypergraph", *argv, write_graph(tmp_path, fam.path_graph(4))])
+def test_hypergraph_subcommand(tmp_path, graph, argv, expected):
+    code, out = run_cli(["hypergraph", *argv, write_graph(tmp_path, graph)])
     assert (code, out) == (0, expected)
 
 

@@ -12,6 +12,7 @@ from palette_kit import (
     ImproperColoring,
     MultiGraph,
     chromatic_index,
+    extract_decomposition_3,
     induced_edge_subgraph,
     is_class1_regular,
     palette_index,
@@ -52,13 +53,13 @@ def test_coloring_parallel_edges_must_differ():
 def test_palettes_of_c5():
     c5 = fam.cycle_graph(5)
     coloring = EdgeColoring(c5, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3})
-    system = palettes_of(coloring)
-    assert set(system.palettes) == {
+    palettes = palettes_of(coloring)
+    assert set(palettes) == {
         frozenset({1, 2}),
         frozenset({2, 3}),
         frozenset({1, 3}),
     }
-    assert len(system) == 3
+    assert len(palettes) == 3
 
 
 def test_palettes_of_k4_single():
@@ -73,16 +74,16 @@ def test_palettes_of_k4_single():
         by_pair[(0, 3)]: 3,
         by_pair[(1, 2)]: 3,
     }
-    system = palettes_of(EdgeColoring(k4, colors))
-    assert system.palettes == (frozenset({1, 2, 3}),)
-    assert set(system.vertex_class) == {0}
+    coloring = EdgeColoring(k4, colors)
+    assert palettes_of(coloring) == (frozenset({1, 2, 3}),)
+    assert set(coloring.vertex_palettes) == {frozenset({1, 2, 3})}
 
 
 def test_palettes_of_isolated_vertex():
     g = MultiGraph.from_pairs(3, [(0, 1)])
-    system = palettes_of(EdgeColoring(g, {0: 1}))
-    assert system.palettes == (frozenset(), frozenset({1}))
-    assert system.vertex_class == (1, 1, 0)
+    coloring = EdgeColoring(g, {0: 1})
+    assert palettes_of(coloring) == (frozenset(), frozenset({1}))
+    assert coloring.vertex_palettes == (frozenset({1}), frozenset({1}), frozenset())
 
 
 def test_palette_sizes_match_degrees(rng):
@@ -106,12 +107,21 @@ def test_vertex_palettes_are_the_palettes_of_the_colors(rng):
 
 
 def test_vertex_classes_partition(rng):
-    for _ in range(25):
-        g = random_simple_graph(rng, 6, 0.5)
-        system = palettes_of(random_proper_coloring(rng, g))
-        classes = system.classes()
-        assert sum(len(c) for c in classes) == g.n
-        assert all(c for c in classes)
+    # The A-sets of a minimal coloring with at most three palettes are its
+    # vertex classes: they partition V, one per palette, each one palette.
+    for _ in range(40):
+        g = random_simple_graph(rng, rng.randrange(1, 7), 0.5)
+        if g.m > 12:
+            continue
+        coloring = palette_index(g).coloring
+        if len(palettes_of(coloring)) > 3:
+            continue
+        a_sets = extract_decomposition_3(coloring).partition.parts
+        assert sum(len(a) for a in a_sets) == g.n
+        assert frozenset().union(*a_sets) == frozenset(range(g.n))
+        classes = [a for a in a_sets if a]
+        assert len(classes) == len(palettes_of(coloring))
+        assert all(len({coloring.palette(v) for v in a}) == 1 for a in classes)
 
 
 def test_chromatic_index_examples():

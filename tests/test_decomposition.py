@@ -119,15 +119,14 @@ def test_synthesize2_path():
     g = b_a_c_d_path()
     dec = extract_decomposition_3(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
     coloring = synthesized_2(g, dec)
-    system = palettes_of(coloring)
-    assert set(system.palettes) == {frozenset({1}), frozenset({1, 2})}
+    assert set(palettes_of(coloring)) == {frozenset({1}), frozenset({1, 2})}
 
 
 def test_synthesize2_isolated_vertex_palettes():
     g = fam.disjoint_union(fam.complete_graph(4), fam.edgeless(1))
     dec = extract_decomposition_3(palette_index(g).coloring)
     coloring = synthesized_2(g, dec)
-    assert set(palettes_of(coloring).palettes) == {
+    assert set(palettes_of(coloring)) == {
         frozenset(),
         frozenset({1, 2, 3}),
     }
@@ -223,11 +222,11 @@ def test_k7_fig3_synthesis():
     k7, dec = k7_fig3_certificate()
     coloring = synthesized_3(k7, dec)
     assert len(set(coloring.colors.values())) == 9
-    system = palettes_of(coloring)
-    assert sorted(len(p) for p in system.palettes) == [6, 6, 6]
+    palettes = palettes_of(coloring)
+    assert sorted(len(p) for p in palettes) == [6, 6, 6]
     # three cubic Class 1 parts certify the palette index without a search:
     # K7 is regular Class 2, so 1 and 2 are excluded
-    assert len(system) == 3
+    assert len(palettes) == 3
 
 
 def test_k7_tampered_certificate_fails_regularity():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeColoring,
@@ -15,8 +18,8 @@ from palette_kit import (
 )
 from palette_kit import families as fam
 
-from bruteforce import pairwise_intersecting
-from conftest import random_proper_coloring, random_simple_graph
+from bruteforce import bf_associated_hypergraph, pairwise_intersecting
+from conftest import multigraphs, random_proper_coloring, random_simple_graph
 
 
 def test_hypergraph_validation():
@@ -66,6 +69,24 @@ def test_order_equals_palette_count(rng):
         g = random_simple_graph(rng, 6, 0.5)
         coloring = random_proper_coloring(rng, g)
         assert associated_hypergraph(coloring).order == len(palettes_of(coloring))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    multigraphs(max_n=7, max_m=12),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2),
+)
+@example(MultiGraph.from_pairs(0, []), random.Random(0), 0)
+@example(fam.edgeless(3), random.Random(0), 0)
+def test_associated_hypergraph_matches_the_reference(g, r, spread):
+    # The reference reads the palettes and hyperedges straight off the
+    # colors.  The strategy starts at two vertices, so the examples add the
+    # graph without vertices and an edgeless one.
+    coloring = random_proper_coloring(r, g, spread=spread)
+    reference = bf_associated_hypergraph(coloring)
+    assert associated_hypergraph(coloring) == reference
+    assert palettes_of(coloring) == reference.vertices
 
 
 def test_pairwise_intersecting():

@@ -107,8 +107,7 @@ def test_witness_properties(rng):
         if g.m > 12:
             continue
         result = palette_index(g)
-        system = palettes_of(result.coloring)
-        assert len(system) == result.s_check
+        assert len(palettes_of(result.coloring)) == result.s_check
         assert len(set(result.coloring.colors.values())) == result.k_min
         assert set(result.coloring.colors.values()) == set(range(1, result.k_min + 1))
 

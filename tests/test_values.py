@@ -17,7 +17,6 @@ from palette_kit import (
     MalformedInput,
     MultiGraph,
     VertexPartition,
-    palettes_of,
 )
 from palette_kit import families as fam
 
@@ -33,7 +32,6 @@ VALUES = {
     "EdgeSubset": (lambda: EdgeSubset(fam.cycle_graph(5), {1, 3}), "members", True),
     "VertexPartition": (lambda: VertexPartition(([0, 1], {2})), "parts", True),
     "EdgeColoring": (k4_coloring, "colors", False),
-    "PaletteSystem": (lambda: palettes_of(k4_coloring()), "palettes", True),
     "Hypergraph": (lambda: Hypergraph(("a", "b"), [(1, {0, 1}), (2, [1])]), "vertices", True),
 }
 
