@@ -43,9 +43,7 @@ from .formats import (
 )
 from .hypergraphs import Hypergraph, associated_hypergraph
 from .multigraph import (
-    EdgeSubset,
     MultiGraph,
-    VertexPartition,
     connected_components,
     disjoint_perfect_matchings,
     has_perfect_matching,

@@ -11,6 +11,11 @@ intersecting, which leaves five possible hyperedges over three A-sets and so
 at most four parts.  With two palettes the certificate is the three-set one
 without H2 and H3, its A-sets V − V(H1), V(H1) and ∅.
 
+A certificate is plain sets: H0–H3 are frozensets of edge ids (None when
+absent), and ``partition`` is the tuple of the three A-sets.
+``decomposition_from_json`` checks one read from a file, part by part, then
+that the A-sets are disjoint, which ``verify_decomposition_3`` checks too.
+
 A certificate flows ``palette_index`` → ``extract_decomposition_3`` →
 ``verify_decomposition_3`` → ``synthesize_coloring_3(graph, dec, report)``.
 Extraction only reads the minimal coloring and does not check what it
@@ -47,9 +52,7 @@ from .errors import (
 )
 from .hypergraphs import associated_hypergraph
 from .multigraph import (
-    EdgeSubset,
     MultiGraph,
-    VertexPartition,
     has_perfect_matching,
     induced_edge_subgraph,
     is_connected,
@@ -61,14 +64,14 @@ SHAPE_A1A2 = "A1A2"
 
 
 class Decomposition3(NamedTuple):
-    h0: EdgeSubset | None
-    h1: EdgeSubset | None
-    h2: EdgeSubset | None
-    h3: EdgeSubset | None
-    partition: VertexPartition
+    h0: frozenset[int] | None
+    h1: frozenset[int] | None
+    h2: frozenset[int] | None
+    h3: frozenset[int] | None
+    partition: tuple[frozenset[int], ...]
     shape: str | None
 
-    def parts(self) -> tuple[tuple[str, EdgeSubset], ...]:
+    def parts(self) -> tuple[tuple[str, frozenset[int]], ...]:
         named = (("H0", self.h0), ("H1", self.h1), ("H2", self.h2), ("H3", self.h3))
         return tuple((name, s) for name, s in named if s is not None)
 
@@ -92,8 +95,20 @@ class ClauseReport(NamedTuple):
         return self
 
 
+def _append_clauses(report: ClauseReport, clauses) -> ClauseReport:
+    """A passing ``report`` with ``clauses`` appended and its verdict
+    taken again over every clause."""
+    clauses = report.clauses + tuple(clauses)
+    return ClauseReport(all(ok for _, ok, _ in clauses), clauses, report.witnesses)
+
+
+def _require_disjoint(a_sets: tuple[frozenset[int], ...]) -> None:
+    if sum(map(len, a_sets)) != len(frozenset().union(*a_sets)):
+        raise MalformedInput("partition parts must be pairwise disjoint")
+
+
 def _edge_partition_clauses(
-    graph: MultiGraph, parts: tuple[tuple[str, EdgeSubset], ...]
+    graph: MultiGraph, parts: tuple[tuple[str, frozenset[int]], ...]
 ) -> list[tuple[str, bool, str]]:
     clauses: list[tuple[str, bool, str]] = []
     nonempty = all(len(s) > 0 for _, s in parts)
@@ -101,9 +116,9 @@ def _edge_partition_clauses(
     used: set[int] = set()
     disjoint = True
     for _, s in parts:
-        if used & s.members:
+        if used & s:
             disjoint = False
-        used |= s.members
+        used |= s
     cover = used == set(graph.edge_ids)
     clauses.append(("edge-disjoint", disjoint, "parts share no edge"))
     clauses.append(("edges-cover", cover, "parts cover E(G)"))
@@ -142,12 +157,14 @@ def verify_decomposition_3(
 ) -> ClauseReport:
     """Check a certificate of at most four parts.  Each present part's
     Class 1 clause reads ``coloring``, a proper coloring of ``graph``, when
-    given (see ``_class1_clause``), and otherwise runs χ′ on the part."""
+    given (see ``_class1_clause``), and otherwise runs χ′ on the part.
+    Overlapping A-sets raise MalformedInput."""
     if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
         raise MalformedInput("coloring belongs to a different graph")
+    _require_disjoint(dec.partition)
     clauses: list[tuple[str, bool, str]] = []
     witnesses: dict[str, EdgeColoring] = {}
-    covered = frozenset().union(*dec.partition.parts)
+    covered = frozenset().union(*dec.partition)
     parts = dec.parts()
     clauses.append(
         ("partition-covers", covered == set(range(graph.n)), "A-sets cover V(G)")
@@ -155,7 +172,7 @@ def verify_decomposition_3(
     clauses.append(
         (
             "partition-width",
-            len(dec.partition.parts) == 3,
+            len(dec.partition) == 3,
             "exactly three (possibly empty) A-sets",
         )
     )
@@ -170,10 +187,10 @@ def verify_decomposition_3(
     )
     clauses.append(("shape-consistent", shape_ok, "shape flag matches H3 presence"))
     views: dict[str, MultiGraph] = {}
-    for name, subset in parts:
-        if len(subset) == 0:
+    for name, ids in parts:
+        if not ids:
             continue
-        view = induced_edge_subgraph(graph, subset)
+        view = induced_edge_subgraph(graph, ids)
         views[name] = view
         r = is_regular(view)
         clauses.append((f"{name.lower()}-regular", r is not None, f"{name} is regular"))
@@ -181,8 +198,8 @@ def verify_decomposition_3(
     if "H0" in views:
         spanning = set(views["H0"].vertex_labels or ()) == set(range(graph.n))
         clauses.append(("h0-spanning", spanning, "H0 covers every vertex"))
-    if len(dec.partition.parts) == 3:
-        a1, a2, a3 = dec.partition.parts
+    if len(dec.partition) == 3:
+        a1, a2, a3 = dec.partition
         if "H1" in views:
             got = frozenset(views["H1"].vertex_labels or ())
             clauses.append(("h1-vertices", got == a2 | a3, "V(H1) = A2 u A3"))
@@ -195,7 +212,7 @@ def verify_decomposition_3(
             clauses.append(
                 ("h3-vertices", got == want, "V(H3) matches the shape flag")
             )
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), witnesses)
+    return _append_clauses(ClauseReport(True, (), witnesses), clauses)
 
 
 # The part, and the shape flag it sets, of each hyperedge (0-based A-set
@@ -246,20 +263,17 @@ def extract_decomposition_3(coloring: EdgeColoring) -> Decomposition3:
     edges: list[set[int]] = [set(), set(), set(), set()]
     for eid, color in coloring.colors.items():
         edges[part_of[color]].add(eid)
-    h0, h1, h2, h3 = (
-        EdgeSubset(coloring.graph, frozenset(s)) if s else None for s in edges
-    )
+    h0, h1, h2, h3 = (frozenset(s) if s else None for s in edges)
     a_sets = tuple(
         frozenset(v for v, p in enumerate(coloring.vertex_palettes) if p == hyper.vertices[i])
         for i in order
     )
-    partition = VertexPartition(a_sets + (frozenset(),) * len(padding))
-    return Decomposition3(h0, h1, h2, h3, partition, shape)
+    return Decomposition3(h0, h1, h2, h3, a_sets + (frozenset(),) * len(padding), shape)
 
 
 def _stack(
     graph: MultiGraph,
-    parts: tuple[tuple[str, EdgeSubset], ...],
+    parts: tuple[tuple[str, frozenset[int]], ...],
     witnesses: dict[str, EdgeColoring],
 ) -> EdgeColoring:
     """Put each part's witness coloring on the next interval of colors, as
@@ -283,7 +297,7 @@ def synthesize_coloring_3(
     coloring = _stack(graph, dec.parts(), report.require_ok().witnesses)
     if len(palettes_of(coloring)) > 3:
         raise AssertionError("synthesized coloring exceeds three palettes")
-    for part in dec.partition.parts:
+    for part in dec.partition:
         if len({coloring.palette(v) for v in part}) > 1:
             raise AssertionError("an A-set received two distinct palettes")
     return coloring
@@ -319,8 +333,7 @@ def regular_corollary_check(
     degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
     r = degree.get("H0", 0)
     want = (k - r) // 2
-    clauses = list(report.clauses)
-    clauses += [
+    clauses = [
         ("shape-a1a2", dec.shape != SHAPE_A3, "V(H3)=A3 cannot occur for a regular graph"),
         ("three-parts", all(h is not None for h in (dec.h1, dec.h2, dec.h3)),
          "H1, H2, H3 must all be present"),
@@ -332,7 +345,7 @@ def regular_corollary_check(
          f"{name} is {degree[name]}-regular, expected {want}")
         for name in ("H1", "H2", "H3") if name in degree
     )
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
+    return _append_clauses(report, clauses)
 
 
 def two_palette_check(
@@ -351,8 +364,7 @@ def two_palette_check(
     delta_min = min(graph.degrees, default=0)
     want = {"H0": delta_min, "H1": delta_max - delta_min}
     degree = {name: is_regular(w.graph) for name, w in report.witnesses.items()}
-    clauses = list(report.clauses)
-    clauses += [
+    clauses = [
         ("delta-gap", delta_max > delta_min, "max degree exceeds min degree"),
         ("two-parts", dec.h2 is None and dec.h3 is None, "H2 and H3 must be absent"),
     ]
@@ -361,7 +373,7 @@ def two_palette_check(
          f"{name} is {degree[name]}-regular, expected {want[name]}")
         for name in ("H0", "H1") if name in degree
     )
-    return ClauseReport(all(ok for _, ok, _ in clauses), tuple(clauses), report.witnesses)
+    return _append_clauses(report, clauses)
 
 
 def classify_cubic(graph: MultiGraph, chi_prime: int) -> int:
@@ -380,8 +392,8 @@ def classify_cubic(graph: MultiGraph, chi_prime: int) -> int:
     return 3 if found else 4
 
 
-def _ids(subset: EdgeSubset | None):
-    return sorted(subset.members) if subset is not None else None
+def _ids(part: frozenset[int] | None):
+    return sorted(part) if part is not None else None
 
 
 def decomposition3_to_json(dec: Decomposition3) -> str:
@@ -391,18 +403,22 @@ def decomposition3_to_json(dec: Decomposition3) -> str:
             "H1": _ids(dec.h1),
             "H2": _ids(dec.h2),
             "H3": _ids(dec.h3),
-            "A": [sorted(p) for p in dec.partition.parts],
+            "A": [sorted(p) for p in dec.partition],
             "shape": dec.shape,
         }
     )
 
 
-def _subset_from_json(graph: MultiGraph, value) -> EdgeSubset | None:
+def _part_from_json(graph: MultiGraph, value) -> frozenset[int] | None:
     if value is None:
         return None
     if not _is_id_list(value):
         raise MalformedInput("part must be null or a list of edge ids")
-    return EdgeSubset(graph, frozenset(value))
+    ids = frozenset(value)
+    unknown = ids - graph.edge_ids
+    if unknown:
+        raise MalformedInput(f"edge ids {sorted(unknown)} not present in parent graph")
+    return ids
 
 
 def _is_id_list(value) -> bool:
@@ -426,17 +442,13 @@ def decomposition_from_json(graph: MultiGraph, payload: str | dict) -> Decomposi
         shape = obj.get("shape")
         if shape not in (None, SHAPE_A3, SHAPE_A1A2):
             raise MalformedInput('"shape" must be "A3", "A1A2" or null')
-        return Decomposition3(
-            _subset_from_json(graph, obj.get("H0")),
-            _subset_from_json(graph, obj.get("H1")),
-            _subset_from_json(graph, obj.get("H2")),
-            _subset_from_json(graph, obj.get("H3")),
-            VertexPartition(tuple(frozenset(p) for p in a_sets)),
-            shape,
-        )
-    h0 = _subset_from_json(graph, obj.get("H0"))
-    h1 = _subset_from_json(graph, obj.get("H1"))
-    held = h1.members if h1 is not None else frozenset()
+        parts = [_part_from_json(graph, obj.get(name)) for name in ("H0", "H1", "H2", "H3")]
+        partition = tuple(frozenset(p) for p in a_sets)
+        _require_disjoint(partition)
+        return Decomposition3(*parts, partition, shape)
+    h0 = _part_from_json(graph, obj.get("H0"))
+    h1 = _part_from_json(graph, obj.get("H1"))
+    held = h1 or frozenset()
     a2 = frozenset(x for eid, u, v in graph.edges if eid in held for x in (u, v))
-    partition = VertexPartition((frozenset(range(graph.n)) - a2, a2, frozenset()))
+    partition = (frozenset(range(graph.n)) - a2, a2, frozenset())
     return Decomposition3(h0, h1, None, None, partition, None)

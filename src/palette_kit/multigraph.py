@@ -3,7 +3,7 @@
 Vertices of a graph are the indices 0..n-1.  Every edge carries an integer
 id that survives subgraph extraction: a subgraph view keeps the parent's
 edge ids and remembers, through ``vertex_labels``, which parent vertex each
-of its local vertices corresponds to.
+of its local vertices corresponds to.  An edge set is a frozenset of ids.
 """
 
 from __future__ import annotations
@@ -122,38 +122,6 @@ class MultiGraph(FrozenValue):
         return max(Counter((u, v) for _, u, v in self.edges).values())
 
 
-class EdgeSubset(FrozenValue):
-    """A set of edge ids interpreted against a parent graph."""
-
-    parent: MultiGraph
-    members: frozenset[int]
-
-    def __init__(self, parent: MultiGraph, members):
-        members = frozenset(members)
-        if not members <= parent.edge_ids:
-            bad = sorted(members - parent.edge_ids)
-            raise MalformedInput(f"edge ids {bad} not present in parent graph")
-        self.__dict__.update(parent=parent, members=members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-class VertexPartition(FrozenValue):
-    """An ordered list of pairwise disjoint vertex sets."""
-
-    parts: tuple[frozenset[int], ...]
-
-    def __init__(self, parts):
-        parts = tuple(frozenset(p) for p in parts)
-        union: set[int] = set()
-        for p in parts:
-            if union & p:
-                raise MalformedInput("partition parts must be pairwise disjoint")
-            union |= p
-        self.__dict__["parts"] = parts
-
-
 def is_regular(graph: MultiGraph) -> int | None:
     """Return the common degree if every vertex has it, else None.
 
@@ -166,20 +134,21 @@ def is_regular(graph: MultiGraph) -> int | None:
     return r if all(d == r for d in deg) else None
 
 
-def induced_edge_subgraph(graph: MultiGraph, subset: EdgeSubset) -> MultiGraph:
-    """The subgraph induced by an edge subset; isolated vertices are dropped.
+def induced_edge_subgraph(graph: MultiGraph, ids: frozenset[int]) -> MultiGraph:
+    """The subgraph induced by a set of edge ids; isolated vertices are dropped.
 
     Edge ids are preserved; ``vertex_labels`` maps the view's local vertices
     back to the parent's (recursively, to the root graph's labels).
     """
-    if subset.parent is not graph and subset.parent != graph:
-        raise MalformedInput("edge subset belongs to a different graph")
-    if not subset.members:
+    unknown = ids - graph.edge_ids
+    if unknown:
+        raise MalformedInput(f"edge ids {sorted(unknown)} not present in parent graph")
+    if not ids:
         raise MalformedInput("empty edge subsets do not induce a subgraph")
     touched: set[int] = set()
     kept = []
     for eid, u, v in graph.edges:
-        if eid in subset.members:
+        if eid in ids:
             kept.append((eid, u, v))
             touched.add(u)
             touched.add(v)

@@ -20,7 +20,6 @@ from itertools import product
 
 from palette_kit.coloring import is_class1_regular
 from palette_kit.multigraph import (
-    EdgeSubset,
     MultiGraph,
     induced_edge_subgraph,
     is_regular,
@@ -215,7 +214,7 @@ def _odd_cover(rows: list[int], cols: int) -> bool:
 
 
 def verify_decomposition_2(
-    graph: MultiGraph, h0: EdgeSubset | None, h1: EdgeSubset | None
+    graph: MultiGraph, h0: frozenset[int] | None, h1: frozenset[int] | None
 ) -> tuple[bool, tuple[tuple[str, bool, str], ...]]:
     """The verdict and clauses of a two-part certificate, each present
     part proved Class 1 by χ′."""
@@ -231,9 +230,9 @@ def verify_decomposition_2(
     used: set[int] = set()
     disjoint = True
     for _, s in parts:
-        if used & s.members:
+        if used & s:
             disjoint = False
-        used |= s.members
+        used |= s
     clauses.append(("edge-disjoint", disjoint, "parts share no edge"))
     clauses.append(("edges-cover", used == set(graph.edge_ids), "parts cover E(G)"))
     if h0 is not None and len(h0) > 0:

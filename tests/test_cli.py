@@ -17,7 +17,7 @@ from palette_kit import cli, coloring, decomposition, errors, multigraph, solver
 from palette_kit import families as fam
 from palette_kit.coloring import EdgeColoring
 from palette_kit.formats import MAX_VERTICES, decode_graph6, read_graph_file
-from palette_kit.multigraph import EdgeSubset, MultiGraph
+from palette_kit.multigraph import MultiGraph
 
 from conftest import FIG4_FRAGILE_60800, nx_line
 
@@ -845,11 +845,8 @@ def test_bad_certificate_falsifies_the_check(monkeypatch, capsys, tmp_path, grap
 
     def tampered(col):
         dec = real(col)
-        moved = min(dec.h2.members)
-        dec = dec._replace(
-            h2=EdgeSubset(col.graph, dec.h2.members - {moved}),
-            h3=EdgeSubset(col.graph, dec.h3.members | {moved}),
-        )
+        moved = min(dec.h2)
+        dec = dec._replace(h2=dec.h2 - {moved}, h3=dec.h3 | {moved})
         seen.append(decomposition.decomposition3_to_json(dec))
         return dec
 
@@ -1092,15 +1089,29 @@ def test_verify_rejects_tampered_and_malformed_certificates(tmp_path):
     assert report["ok"] is False
     assert [name for name, passed, _ in report["clauses"] if not passed] == [
         "h3-regular", "h3-class1", "h2-vertices", "h3-vertices"]
-    for text, reason in [
-        ('{"A": [[0]], "H0": null}', '"A" must be a list of three vertex lists'),
-        ('{"A": [[[0]], [], []]}', '"A" must be a list of three vertex lists'),
-        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    p4 = write_graph(tmp_path, fam.path_graph(4), "p4.g6")
+    # Each part is read in turn, its id-list check before its membership
+    # check, and the A-sets are checked for overlap after every part.
+    for graph, text, reason in [
+        (path, '{"A": [[0]], "H0": null}', '"A" must be a list of three vertex lists'),
+        (path, '{"A": [[[0]], [], []]}', '"A" must be a list of three vertex lists'),
+        (path, "not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (path, '{"H0": [0, 15, 99], "H1": null, "H2": null, "H3": null, '
+               '"A": [[], [], []], "shape": null}',
+         "edge ids [15, 99] not present in parent graph"),
+        (path, '{"H0": [0], "H1": [15]}', "edge ids [15] not present in parent graph"),
+        (p4, '{"H0": [0, 9], "H1": "x"}', "edge ids [9] not present in parent graph"),
+        (p4, '{"H0": [0, 2], "H1": [1], "H2": null, "H3": null, '
+             '"A": [[0, 1], [1, 2], [3]], "shape": null}',
+         "partition parts must be pairwise disjoint"),
+        (p4, '{"H0": [0, 2], "H1": [1, 7], "H2": null, "H3": null, '
+             '"A": [[0, 1], [1, 2], [3]], "shape": null}',
+         "edge ids [7] not present in parent graph"),
     ]:
         cert_file.write_text(text)
-        code, out = run_cli(["verify", path, "--certificate", str(cert_file)])
-        assert code == 2
-        assert json.loads(out) == {"ok": False, "clauses": [["certificate-malformed", False, reason]]}
+        code, out = run_cli(["verify", graph, "--certificate", str(cert_file)])
+        assert (code, out) == (2, json.dumps(
+            {"ok": False, "clauses": [["certificate-malformed", False, reason]]}) + "\n")
 
 
 @pytest.mark.parametrize(

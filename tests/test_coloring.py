@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from palette_kit import (
     EdgeColoring,
-    EdgeSubset,
     ImproperColoring,
     MultiGraph,
     chromatic_index,
@@ -116,7 +115,7 @@ def test_vertex_classes_partition(rng):
         coloring = palette_index(g).coloring
         if len(palettes_of(coloring)) > 3:
             continue
-        a_sets = extract_decomposition_3(coloring).partition.parts
+        a_sets = extract_decomposition_3(coloring).partition
         assert sum(len(a) for a in a_sets) == g.n
         assert frozenset().union(*a_sets) == frozenset(range(g.n))
         classes = [a for a in a_sets if a]
@@ -137,7 +136,7 @@ def test_chromatic_index_k4_witness_is_three_matchings():
     k4 = fam.complete_graph(4)
     for c in (1, 2, 3):
         members = frozenset(e for e, col in res.witness.colors.items() if col == c)
-        view = induced_edge_subgraph(k4, EdgeSubset(k4, members))
+        view = induced_edge_subgraph(k4, members)
         assert view.degrees == (1, 1, 1, 1)
 
 
@@ -198,7 +197,7 @@ def test_induced_regular_class1_equivalence(rng):
         members = frozenset(e for e, c in coloring.colors.items() if c in x)
         if not members:
             continue
-        view = induced_edge_subgraph(g, EdgeSubset(g, members))
+        view = induced_edge_subgraph(g, members)
         lhs = is_class1_regular(view) is not None and set(view.degrees) == {len(x)}
         rhs = all(
             x <= coloring.palette(v) for v in (view.vertex_labels or ())

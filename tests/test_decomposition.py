@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from palette_kit import (
     Decomposition3,
     EdgeColoring,
-    EdgeSubset,
     InvalidCertificate,
     MalformedInput,
     MultiGraph,
@@ -18,7 +17,6 @@ from palette_kit import (
     NotCubic,
     NotRegular,
     TooManyPalettes,
-    VertexPartition,
     chromatic_index,
     classify_cubic,
     decomposition3_to_json,
@@ -82,8 +80,8 @@ def test_extract2_path_example():
     g = b_a_c_d_path()
     coloring = EdgeColoring(g, {0: 1, 1: 2, 2: 1})
     dec = extract_decomposition_3(coloring)
-    assert dec.h0 is not None and dec.h0.members == frozenset({0, 2})
-    assert dec.h1.members == frozenset({1})
+    assert dec.h0 == frozenset({0, 2})
+    assert dec.h1 == frozenset({1})
     view0 = induced_edge_subgraph(g, dec.h0)
     assert is_regular(view0) == 1
     assert labels(g, dec.h0) == frozenset(range(4))
@@ -95,7 +93,7 @@ def test_extract2_with_isolated_vertex():
     assert result.s_check == 2
     dec = extract_decomposition_3(result.coloring)
     assert dec.h0 is None
-    assert dec.h1.members == g.edge_ids
+    assert dec.h1 == g.edge_ids
     assert dec.h2 is dec.h3 is None
 
 
@@ -167,7 +165,7 @@ def two_part_splits(graph):
 
 def frozen_verdict(graph, h0, h1):
     def subset(ids):
-        return None if ids is None else EdgeSubset(graph, ids)
+        return None if ids is None else frozenset(ids)
     return frozen.verify_decomposition_2(graph, subset(h0), subset(h1))[0]
 
 
@@ -203,10 +201,10 @@ def k7_fig3_certificate():
 
     dec = Decomposition3(
         None,
-        EdgeSubset(k7, within((0, 4, 5, 6))),
-        EdgeSubset(k7, within((0, 1, 2, 3))),
-        EdgeSubset(k7, across((1, 2, 3), (4, 5, 6))),
-        VertexPartition((frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset({0}))),
+        within((0, 4, 5, 6)),
+        within((0, 1, 2, 3)),
+        across((1, 2, 3), (4, 5, 6)),
+        (frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset({0})),
         "A1A2",
     )
     return k7, dec
@@ -231,12 +229,12 @@ def test_k7_fig3_synthesis():
 
 def test_k7_tampered_certificate_fails_regularity():
     k7, dec = k7_fig3_certificate()
-    moved = next(iter(dec.h2.members))
+    moved = next(iter(dec.h2))
     bad = Decomposition3(
         None,
         dec.h1,
-        EdgeSubset(k7, dec.h2.members - {moved}),
-        EdgeSubset(k7, dec.h3.members | {moved}),
+        dec.h2 - {moved},
+        dec.h3 | {moved},
         dec.partition,
         dec.shape,
     )
@@ -250,10 +248,10 @@ def test_verify3_odd_cycle_part_fails_class1():
     c5 = fam.cycle_graph(5)
     dec = Decomposition3(
         None,
-        EdgeSubset(c5, c5.edge_ids),
+        c5.edge_ids,
         None,
         None,
-        VertexPartition((frozenset(), frozenset(range(5)), frozenset())),
+        (frozenset(), frozenset(range(5)), frozenset()),
         None,
     )
     report = verify_decomposition_3(c5, dec)
@@ -261,12 +259,23 @@ def test_verify3_odd_cycle_part_fails_class1():
     assert ("h1-class1", "H1 is Class 1") in report.failures()
 
 
+def test_verify_rejects_overlapping_a_sets():
+    # K2 read with A1 = A2 = {0, 1} would pass every clause.
+    k2 = MultiGraph.from_pairs(2, [(0, 1)])
+    dec = Decomposition3(
+        frozenset({0}), None, None, None, (frozenset({0, 1}), frozenset(), frozenset()), None)
+    assert verify_decomposition_3(k2, dec).ok
+    overlapping = dec._replace(partition=(frozenset({0, 1}),) * 2 + (frozenset(),))
+    with pytest.raises(MalformedInput, match="^partition parts must be pairwise disjoint$"):
+        verify_decomposition_3(k2, overlapping)
+
+
 def test_extract3_c5():
     c5 = fam.cycle_graph(5)
     coloring = EdgeColoring(c5, {0: 1, 1: 2, 2: 1, 3: 2, 4: 3})
     dec = extract_decomposition_3(coloring)
     assert dec.h0 is None
-    parts = {s.members for _, s in dec.parts()}
+    parts = {s for _, s in dec.parts()}
     classes = {
         frozenset(e for e, c in coloring.colors.items() if c == color)
         for color in (1, 2, 3)
@@ -278,9 +287,9 @@ def test_extract3_c5():
 def test_extract3_degenerate_one_palette():
     k4 = fam.complete_graph(4)
     dec = extract_decomposition_3(palette_index(k4).coloring)
-    assert dec.h0 is not None and dec.h0.members == k4.edge_ids
+    assert dec.h0 == k4.edge_ids
     assert dec.h1 is dec.h2 is dec.h3 is None
-    assert dec.partition.parts[0] == frozenset(range(4))
+    assert dec.partition[0] == frozenset(range(4))
     assert verify_decomposition_3(k4, dec).ok
 
 
@@ -289,7 +298,7 @@ def test_extract3_degenerate_two_palettes():
     dec = extract_decomposition_3(EdgeColoring(g, {0: 1, 1: 2, 2: 1}))
     assert dec.h2 is None and dec.h3 is None
     assert dec.shape is None
-    a1, a2, a3 = dec.partition.parts
+    a1, a2, a3 = dec.partition
     assert a1 == frozenset({1, 3})  # small-palette class
     assert a2 == frozenset({0, 2})
     assert a3 == frozenset()
@@ -300,7 +309,7 @@ def test_extract3_edgeless():
     g = fam.edgeless(3)
     dec = extract_decomposition_3(palette_index(g).coloring)
     assert dec.parts() == ()
-    assert dec.partition.parts[0] == frozenset(range(3))
+    assert dec.partition[0] == frozenset(range(3))
     assert verify_decomposition_3(g, dec).ok
 
 
@@ -352,11 +361,11 @@ def test_extraction_refuses_exactly_the_non_minimal_colorings(g, r, spread):
 
 def test_synthesize3_rejects_overlapping_parts():
     k7, dec = k7_fig3_certificate()
-    shared = next(iter(dec.h1.members))
+    shared = next(iter(dec.h1))
     bad = Decomposition3(
         None,
         dec.h1,
-        EdgeSubset(k7, dec.h2.members | {shared}),
+        dec.h2 | {shared},
         dec.h3,
         dec.partition,
         dec.shape,
@@ -465,7 +474,7 @@ def test_certificate_json_round_trip():
     payload = decomposition3_to_json(dec)
     back = decomposition_from_json(k7, payload)
     assert isinstance(back, Decomposition3)
-    assert back.h1.members == dec.h1.members
+    assert back.h1 == dec.h1
     assert back.partition == dec.partition
     assert back.shape == "A1A2"
     obj = json.loads(payload)
@@ -477,7 +486,7 @@ def test_certificate_json_d2():
     g = b_a_c_d_path()
     dec = decomposition_from_json(g, '{"H0": [0, 2], "H1": [1]}')
     assert isinstance(dec, Decomposition3)
-    assert dec.partition.parts == (frozenset({1, 3}), frozenset({0, 2}), frozenset())
+    assert dec.partition == (frozenset({1, 3}), frozenset({0, 2}), frozenset())
     assert (dec.h2, dec.h3, dec.shape) == (None, None, None)
     assert verified_2(g, dec).ok
 
@@ -536,7 +545,7 @@ def test_synthesis_uses_the_verification_witnesses(g):
         r = is_regular(view)
         witness = report.witnesses[name]
         # A proper r-edge-coloring of exactly this part's edges.
-        assert witness.colors.keys() == subset.members
+        assert witness.colors.keys() == subset
         assert set(witness.colors.values()) == set(range(1, r + 1))
         EdgeColoring(view, witness.colors)
         rebuilt.update({e: c + offset for e, c in chromatic_index(view).witness.colors.items()})
@@ -551,7 +560,7 @@ def assert_part_witnesses(graph, dec, report):
         view = induced_edge_subgraph(graph, parts[name])
         r = is_regular(view)
         assert witness.graph == view
-        assert witness.colors.keys() == parts[name].members
+        assert witness.colors.keys() == parts[name]
         assert set(witness.colors.values()) == set(range(1, r + 1))
 
 
@@ -584,8 +593,8 @@ def test_verification_searches_when_the_restriction_uses_extra_colors(monkeypatc
     three = EdgeColoring(
         cycle, {eid: 3 if eid == n - 1 else 1 + eid % 2 for eid in cycle.edge_ids})
     dec = Decomposition3(
-        EdgeSubset(cycle, cycle.edge_ids), None, None, None,
-        VertexPartition((frozenset(range(n)), frozenset(), frozenset())), None,
+        cycle.edge_ids, None, None, None,
+        (frozenset(range(n)), frozenset(), frozenset()), None,
     )
     searched = verify_decomposition_3(cycle, dec)
     calls = []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette_kit import (
-    EdgeSubset,
     LoopRejected,
     MalformedInput,
     MultiGraph,
@@ -60,7 +59,7 @@ def test_is_regular_examples():
 
 def test_induced_subgraph_path():
     p4 = fam.path_graph(4)
-    view = induced_edge_subgraph(p4, EdgeSubset(p4, frozenset({0, 2})))
+    view = induced_edge_subgraph(p4, frozenset({0, 2}))
     assert view.n == 4
     assert is_regular(view) == 1
     assert view.vertex_labels == (0, 1, 2, 3)
@@ -71,7 +70,7 @@ def test_induced_subgraph_k4_inside_k7():
     inside = frozenset(
         eid for eid, u, v in k7.edges if {u, v} <= {0, 1, 2, 3}
     )
-    view = induced_edge_subgraph(k7, EdgeSubset(k7, inside))
+    view = induced_edge_subgraph(k7, inside)
     assert view.m == 6
     assert view.degrees == (3, 3, 3, 3)
     assert view.vertex_labels == (0, 1, 2, 3)
@@ -80,12 +79,18 @@ def test_induced_subgraph_k4_inside_k7():
 def test_induced_subgraph_rejects_empty():
     p4 = fam.path_graph(4)
     with pytest.raises(MalformedInput):
-        induced_edge_subgraph(p4, EdgeSubset(p4, frozenset()))
+        induced_edge_subgraph(p4, frozenset())
+
+
+def test_induced_subgraph_rejects_unknown_ids():
+    p4 = fam.path_graph(4)
+    with pytest.raises(MalformedInput, match=r"^edge ids \[3, 9\] not present in parent graph$"):
+        induced_edge_subgraph(p4, frozenset({0, 9, 3}))
 
 
 def test_induced_subgraph_keeps_edge_ids():
     k4 = fam.complete_graph(4)
-    view = induced_edge_subgraph(k4, EdgeSubset(k4, frozenset({2, 5})))
+    view = induced_edge_subgraph(k4, frozenset({2, 5}))
     assert sorted(e[0] for e in view.edges) == [2, 5]
 
 
@@ -97,7 +102,7 @@ def test_degree_sum_in_views(rng):
         )
         if not members:
             continue
-        view = induced_edge_subgraph(g, EdgeSubset(g, members))
+        view = induced_edge_subgraph(g, members)
         assert sum(view.degrees) == 2 * len(members)
 
 
@@ -207,7 +212,7 @@ def test_even_subgraph_petersen_two_factor():
     pet = fam.petersen_graph()
     found, witness = has_spanning_even_subgraph_no_isolated(pet)
     assert found
-    view = induced_edge_subgraph(pet, EdgeSubset(pet, frozenset(witness)))
+    view = induced_edge_subgraph(pet, frozenset(witness))
     assert view.n == 10
     # cubic graph: even degrees are 0 or 2, so a covering witness is a 2-factor
     assert set(view.degrees) == {2}
@@ -223,7 +228,7 @@ def test_even_subgraph_against_bruteforce(rng):
         got, witness = has_spanning_even_subgraph_no_isolated(g)
         assert got == bf_has_spanning_even_subgraph(g)
         if got:
-            view = induced_edge_subgraph(g, EdgeSubset(g, frozenset(witness)))
+            view = induced_edge_subgraph(g, frozenset(witness))
             assert view.n == g.n
             assert all(d >= 2 and d % 2 == 0 for d in view.degrees)
 
@@ -270,7 +275,7 @@ def test_even_subgraph_against_bruteforce_with_parallel_edges(g):
     got, witness = has_spanning_even_subgraph_no_isolated(g)
     assert got == bf_has_spanning_even_subgraph(g)
     if got:
-        view = induced_edge_subgraph(g, EdgeSubset(g, frozenset(witness)))
+        view = induced_edge_subgraph(g, frozenset(witness))
         assert view.n == g.n
         assert all(d >= 2 and d % 2 == 0 for d in view.degrees)
 

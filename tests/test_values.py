@@ -1,6 +1,7 @@
 """Value semantics of the validated types: equal fields compare and hash
 equal, fields cannot be reassigned, construction validates, pickling
-round-trips."""
+round-trips.  A certificate's parts and A-sets are plain frozensets, checked
+where they come in: ``induced_edge_subgraph`` and ``verify_decomposition_3``."""
 
 from __future__ import annotations
 
@@ -9,14 +10,15 @@ import pickle
 import pytest
 
 from palette_kit import (
+    Decomposition3,
     EdgeColoring,
-    EdgeSubset,
     Hypergraph,
     ImproperColoring,
     LoopRejected,
     MalformedInput,
     MultiGraph,
-    VertexPartition,
+    induced_edge_subgraph,
+    verify_decomposition_3,
 )
 from palette_kit import families as fam
 
@@ -29,8 +31,6 @@ def k4_coloring() -> EdgeColoring:
 # Each factory builds a fresh instance with the same fields on every call.
 VALUES = {
     "MultiGraph": (lambda: MultiGraph(3, ((0, 2, 1), (1, 0, 1)), [5, 6, 7]), "n", True),
-    "EdgeSubset": (lambda: EdgeSubset(fam.cycle_graph(5), {1, 3}), "members", True),
-    "VertexPartition": (lambda: VertexPartition(([0, 1], {2})), "parts", True),
     "EdgeColoring": (k4_coloring, "colors", False),
     "Hypergraph": (lambda: Hypergraph(("a", "b"), [(1, {0, 1}), (2, [1])]), "vertices", True),
 }
@@ -70,8 +70,6 @@ def test_fields_are_normalized():
     assert g.edges == ((0, 1, 2), (1, 0, 1)) and g.vertex_labels == (5, 6, 7)
     assert g == MultiGraph(3, ((0, 1, 2), (1, 1, 0)), (5, 6, 7))
     assert g != MultiGraph(3, g.edges)
-    assert EdgeSubset(fam.cycle_graph(5), [1, 3]).members == frozenset({1, 3})
-    assert VertexPartition([[0, 1], [2]]).parts == (frozenset({0, 1}), frozenset({2}))
     h = Hypergraph(("a", "b"), [(1, {0, 1}), (2, [1])])
     assert h.hyperedges == ((1, frozenset({0, 1})), (2, frozenset({1})))
     assert repr(MultiGraph(2, [(0, 0, 1)])) == (
@@ -93,8 +91,10 @@ def test_cached_properties_still_fill():
         (lambda: MultiGraph(2, ((0, 1, 1),)), LoopRejected),
         (lambda: MultiGraph(2, ((0, 0, 1), (0, 0, 1))), MalformedInput),
         (lambda: MultiGraph(2, ((0, 0, 1),), (7,)), MalformedInput),
-        (lambda: EdgeSubset(fam.cycle_graph(3), {5}), MalformedInput),
-        (lambda: VertexPartition(({0, 1}, {1, 2})), MalformedInput),
+        (lambda: induced_edge_subgraph(fam.cycle_graph(3), frozenset({5})), MalformedInput),
+        (lambda: verify_decomposition_3(MultiGraph.from_pairs(2, [(0, 1)]), Decomposition3(
+            frozenset({0}), None, None, None, (frozenset({0, 1}),) * 2 + (frozenset(),), None,
+        )), MalformedInput),
         (lambda: EdgeColoring(fam.path_graph(3), {0: 1}), ImproperColoring),
         (lambda: EdgeColoring(fam.path_graph(3), {0: 1, 1: 1}), ImproperColoring),
         (lambda: EdgeColoring(fam.path_graph(3), {0: 1, 1: 0}), ImproperColoring),
